@@ -163,14 +163,16 @@ class RetryPolicy:
 class RunConfig:
     """How one portfolio (or job-list) valuation is executed.
 
-    ``batch=True`` turns on shared-path batch pricing: positions with equal
-    simulation signatures (see :mod:`repro.pricing.batch`) are coalesced into
-    :class:`~repro.pricing.batch.ProblemBatch` jobs that workers price
-    against one simulated path set.  ``cache`` overrides the session's
+    ``batch=True`` turns on shared-path batch pricing: the signature groups
+    of each draw cohort (see :func:`repro.pricing.batch.draw_cohort`) are
+    coalesced into at most ``n_workers``
+    :class:`~repro.pricing.batch.ProblemBatch` jobs, each priced with one
+    kernel call.  ``cache`` overrides the session's
     result-cache usage for this run (``None`` keeps the session default,
     ``False`` bypasses the cache, ``True`` requires the session to have one).
-    ``batch_group_size`` caps how many positions one batch job may carry, so
-    large families still spread across parallel workers.
+    ``batch_group_size`` caps how many positions one batch job may carry,
+    also when that takes more jobs than workers, so large families still
+    spread across parallel workers.
 
     Two streaming-lifecycle hooks ride along (excluded from equality/hash,
     like ``cost_model``): ``progress`` is called once per collected position
@@ -193,9 +195,10 @@ class RunConfig:
     batch: bool = False
     batch_group_size: int | None = None
     #: Monte-Carlo evaluation strategy for shared-path batch jobs: "loop"
-    #: (per-group, per-member arithmetic) or "stacked" (all groups of a plan
-    #: as one stacked-array computation).  Bit-identical prices either way;
-    #: the kernel never enters simulation signatures or cache digests.
+    #: (per-group, per-member arithmetic; one job per signature group) or
+    #: "stacked" (the groups of a draw cohort share one job and one
+    #: stacked-array computation).  Bit-identical prices either way; the
+    #: kernel never enters simulation signatures or cache digests.
     kernel: str = "loop"
     #: smallest signature family coalesced into a ProblemBatch.  The default
     #: (``None``) keeps the planner's threshold of 2; scenario-grid campaigns

@@ -58,8 +58,8 @@ from repro.core.runner import RunReport
 from repro.core.scheduler import SCHEDULERS, RobinHoodScheduler, Scheduler
 from repro.core.strategies import TransmissionStrategy, get_strategy
 from repro.errors import ClusterError, SchedulingError, ValuationError, WorkerLostError
-from repro.pricing.batch import ProblemBatch, batch_digest, plan_batches
-from repro.pricing.cache import ResultCache, problem_digest
+from repro.pricing.batch import ProblemBatch, cohort_jobs, plan_batches
+from repro.pricing.cache import ResultCache, problem_digest, stable_digest
 from repro.pricing.engine import PricingProblem
 from repro.serial import serialize
 
@@ -299,12 +299,14 @@ class ValuationSession:
         attach_problems: bool | None = None,
         cost_model: CostModel | None = None,
     ) -> list[Job]:
+        executing = getattr(backend, "requires_payload", True)
         if attach_problems is None:
-            attach_problems = getattr(backend, "requires_payload", True) and store is None
+            attach_problems = executing and store is None
         return portfolio.build_jobs(
             cost_model=cost_model or self.cost_model,
             store=store,
             attach_problems=attach_problems,
+            size_payloads=not executing,
         )
 
     # -- pricing -----------------------------------------------------------------
@@ -436,7 +438,7 @@ class ValuationSession:
             plan.jobs, plan.batch_members = self._coalesce_jobs(
                 plan.jobs, problem_by_id, batch_group_size,
                 cost_model or self.cost_model, kernel=kernel,
-                min_group_size=min_group_size,
+                min_group_size=min_group_size, n_workers=backend.n_workers,
             )
         return plan
 
@@ -588,11 +590,12 @@ class ValuationSession:
 
         A thin synchronous wrapper over the streaming core: the whole
         campaign is streamed through the incremental master loop and drained
-        to completion.  ``batch=True`` coalesces positions with equal
-        simulation signatures into shared-path
-        :class:`~repro.pricing.batch.ProblemBatch` jobs; prices are
-        bit-identical to the unbatched run (on the simulated backend the
-        batch-aware cost model prices one shared simulation per group).
+        to completion.  ``batch=True`` coalesces each draw cohort's signature
+        groups into at most ``n_workers`` shared-path
+        :class:`~repro.pricing.batch.ProblemBatch` jobs (see
+        :meth:`_coalesce_jobs`); prices are bit-identical to the unbatched
+        run (on the simulated backend the batch-aware cost model prices one
+        shared simulation per group).
         ``progress`` is called once per collected position; ``cancel`` (a
         :class:`CancelToken`) withdraws still-queued positions, which the
         result marks as ``"cancelled before dispatch"`` errors.
@@ -869,11 +872,12 @@ class ValuationSession:
         """Price (problems x scenarios) as one batched campaign on the backend.
 
         The expanded cells are wrapped into a synthetic portfolio and run with
-        ``batch=True, min_group_size=1``: cells sharing a simulation signature
-        coalesce into :class:`~repro.pricing.batch.ProblemBatch` super-jobs
-        (which ride the shm transport on local backends and the wire protocol
-        on remote ones), and the stacked kernel prices each super-job's
-        members against one shared path set.  Returns one ``{scenario name:
+        ``batch=True, min_group_size=1``: the cells of one draw cohort
+        coalesce into at most ``n_workers``
+        :class:`~repro.pricing.batch.ProblemBatch` super-jobs (which ride the
+        shm transport on local backends and the wire protocol on remote
+        ones), and the stacked kernel prices each super-job with one shared
+        draw.  Returns one ``{scenario name:
         price}`` mapping per input problem, exactly like
         :func:`repro.pricing.scenarios.price_scenarios`.
         """
@@ -1055,41 +1059,52 @@ class ValuationSession:
         cost_model: CostModel | None = None,
         kernel: str = "loop",
         min_group_size: int | None = None,
+        n_workers: int = 1,
     ) -> tuple[list[Job], dict[int, tuple[int, ...]]]:
-        """Merge shared-simulation jobs into :class:`ProblemBatch` super-jobs."""
+        """Merge each draw cohort's jobs into :class:`ProblemBatch` super-jobs.
+
+        Positions are planned into signature groups, the groups clustered by
+        draw cohort under ``kernel`` (:func:`~repro.pricing.batch.draw_cohort`:
+        one group per cohort under the loop kernel) and each cohort packed
+        into at most ``n_workers`` jobs balanced by member count
+        (:func:`~repro.pricing.batch.cohort_jobs`).  ``batch_group_size``
+        caps the members of one job, also when that needs more jobs.  A
+        super-job takes the place of its first member in the job order.
+        """
         model = cost_model or self.cost_model
+        problems = [problem_by_id.get(job.job_id) for job in jobs]
         plan = plan_batches(
-            [problem_by_id.get(job.job_id) for job in jobs],
+            problems,
             min_group_size=min_group_size if min_group_size is not None else 2,
             max_group_size=batch_group_size,
         )
-        group_by_first: dict[int, Any] = {g.indices[0]: g for g in plan.groups}
-        grouped = {index for group in plan.groups for index in group.indices}
-        out: list[Job] = []
+        super_jobs: dict[int, Job] = {}
         members_map: dict[int, tuple[int, ...]] = {}
-        for index, job in enumerate(jobs):
-            group = group_by_first.get(index)
-            if group is not None:
-                member_jobs = [jobs[i] for i in group.indices]
-                problems = [problem_by_id[j.job_id] for j in member_jobs]
-                bundle = ProblemBatch(
-                    problems, keys=[j.job_id for j in member_jobs], kernel=kernel
-                )
-                super_job = Job(
-                    job_id=job.job_id,
-                    path=f"/virtual/batch/{batch_digest(bundle)[:16]}.pb",
-                    file_size=sum(j.file_size for j in member_jobs),
-                    # one shared simulation plus cheap per-member payoff sweeps
-                    compute_cost=model.estimate_batch_jobs(
-                        [j.compute_cost for j in member_jobs]
-                    ),
-                    category=job.category,
-                    problem=bundle,
-                )
-                out.append(super_job)
-                members_map[job.job_id] = tuple(j.job_id for j in member_jobs)
-            elif index not in grouped:
-                out.append(job)
+        for part in cohort_jobs(problems, plan.groups, kernel, n_workers, batch_group_size):
+            indices = sorted(index for group in part for index in group.indices)
+            member_jobs = [jobs[i] for i in indices]
+            first = member_jobs[0]
+            super_jobs[indices[0]] = Job(
+                job_id=first.job_id,
+                path=f"/virtual/batch/{stable_digest([j.path for j in member_jobs])[:16]}.pb",
+                file_size=sum(j.file_size for j in member_jobs),
+                # per group: one shared simulation plus cheap per-member
+                # payoff sweeps
+                compute_cost=sum(
+                    model.estimate_batch_jobs([jobs[i].compute_cost for i in group.indices])
+                    for group in part
+                ),
+                category=first.category,
+                problem=ProblemBatch([problem_by_id[j.job_id] for j in member_jobs],
+                                     keys=[j.job_id for j in member_jobs], kernel=kernel),
+            )
+            members_map[first.job_id] = tuple(j.job_id for j in member_jobs)
+        grouped = {index for group in plan.groups for index in group.indices}
+        out = [
+            super_jobs.get(index, job)
+            for index, job in enumerate(jobs)
+            if index in super_jobs or index not in grouped
+        ]
         return out, members_map
 
     def _expand_batch_report(
@@ -1214,7 +1229,7 @@ class ValuationSession:
             Job(
                 job_id=future.job_id,
                 path=f"/virtual/session/{future.job_id:06d}.pb",
-                file_size=serialize(problem).nbytes + 4,
+                file_size=0,
                 compute_cost=self.cost_model.estimate(problem),
                 category=category,
                 problem=problem,
@@ -1224,6 +1239,11 @@ class ValuationSession:
         strategy_name = self._strategy_name(None)
         runner = self._new_scheduler()
         backend = self._acquire_backend(strategy_name, cache=self._cache)
+        if not getattr(backend, "requires_payload", True):
+            # only the simulated cluster's communication model reads sizes;
+            # executing backends encode each payload once, at dispatch
+            for job in jobs:
+                job.file_size = serialize(job.problem).nbytes + 4
         problem_by_id = {future.job_id: problem for problem, future, _ in pending}
         plan = self._prepare_plan(
             jobs,

@@ -15,9 +15,9 @@ ships back in the paper's script.
 
 Two extensions ride on the same payload plumbing:
 
-* a payload may decode to a :class:`~repro.pricing.batch.ProblemBatch` -- a
-  whole shared-simulation family shipped as one message; the worker prices
-  every member against one path set and returns a ``{"batch": True,
+* a payload may decode to a :class:`~repro.pricing.batch.ProblemBatch` --
+  the groups of one draw cohort shipped as one message; the worker prices
+  every member with one kernel call and returns a ``{"batch": True,
   "results": {...}}`` dictionary which the session expands back into
   per-position results;
 * an optional worker-side :class:`~repro.pricing.cache.ResultCache` answers

@@ -162,6 +162,7 @@ class Portfolio:
         store: ProblemStore | None = None,
         attach_problems: bool = False,
         virtual_prefix: str = "/virtual/portfolio",
+        size_payloads: bool = True,
     ) -> list[Job]:
         """Turn the portfolio into scheduler jobs.
 
@@ -178,6 +179,11 @@ class Portfolio:
         attach_problems:
             Attach the in-memory problem to each job (needed by executing
             backends when no store is used).
+        size_payloads:
+            Serialize each problem to fill ``file_size`` when no store is
+            used (the simulated cluster's communication model reads it).
+            ``False`` leaves ``file_size`` at 0: jobs bound for an executing
+            backend are encoded once, by the transmission strategy.
         """
         model = cost_model or paper_cost_model()
         jobs: list[Job] = []
@@ -193,7 +199,7 @@ class Portfolio:
                 file_size = paths[index].stat().st_size
             else:
                 path = f"{virtual_prefix}/{self.name}_{index:06d}.pb"
-                file_size = serialize(position.problem).nbytes + 4
+                file_size = serialize(position.problem).nbytes + 4 if size_payloads else 0
             jobs.append(
                 Job(
                     job_id=index,

@@ -53,6 +53,8 @@ def _canonical(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(key): _canonical(value[key]) for key in sorted(value, key=str)}
     if isinstance(value, (list, tuple)):
+        if all(type(item) is float for item in value):
+            return list(value)  # the common numeric leg, already canonical
         return [_canonical(item) for item in value]
     if isinstance(value, np.ndarray):
         return [_canonical(item) for item in value.tolist()]

@@ -226,8 +226,7 @@ class PricingProblem:
             self._model_name = name
             self._model_params = params
             self._model = _build_model(name, params)
-        self._result = None
-        self._digest_cache = None  # invalidate the memoized problem digest
+        self._invalidate()
         return self
 
     def set_option(self, name: str | Product, **params: Any) -> "PricingProblem":
@@ -239,8 +238,7 @@ class PricingProblem:
             self._product_name = name
             self._product_params = params
             self._product = _build_product(name, params)
-        self._result = None
-        self._digest_cache = None  # invalidate the memoized problem digest
+        self._invalidate()
         return self
 
     def set_method(self, name: str | PricingMethod, **params: Any) -> "PricingProblem":
@@ -252,9 +250,14 @@ class PricingProblem:
             self._method_name = name
             self._method_params = params
             self._method = _build_method(name, params)
-        self._result = None
-        self._digest_cache = None  # invalidate the memoized problem digest
+        self._invalidate()
         return self
+
+    def _invalidate(self) -> None:
+        """Drop the stored result and the memoized digest and signature."""
+        self._result = None
+        self._digest_cache = None
+        self.__dict__.pop("_signature_cache", None)
 
     @classmethod
     def from_instances(

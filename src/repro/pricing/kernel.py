@@ -69,6 +69,7 @@ from repro.pricing.rng import AntitheticGenerator, RandomGenerator, create_gener
 __all__ = [
     "KERNELS",
     "resolve_kernel",
+    "cohort_key",
     "run_groups",
     "price_many_stacked",
     "draw_digest",
@@ -78,11 +79,12 @@ __all__ = [
 KERNELS = ("loop", "stacked")
 
 #: memory budget for one stacked simulation chunk, in float64 elements
-#: (~128 MiB); a cohort whose groups would exceed it is split into chunks,
+#: (~8 MiB); a cohort whose groups would exceed it is split into chunks,
 #: each consuming the same stream -- replayed from the first chunk's draw
 #: tape when it fits the budget below, re-drawn from a fresh generator
-#: otherwise -- bit-identical per group either way
-_MAX_STACK_ELEMENTS = 1 << 24
+#: otherwise -- bit-identical per group either way.  Kept small so a whole
+#: cohort priced in one call holds peak memory near a single group's
+_MAX_STACK_ELEMENTS = 1 << 20
 
 #: memory budget for a cohort's recorded draw tape, in float64 elements;
 #: multi-chunk cohorts below it replay the first chunk's draws instead of
@@ -283,28 +285,34 @@ def _scheme(model: Model, mode_paths: bool) -> str | None:
     return None
 
 
-def _cohort_key(group: _Group) -> tuple[Any, ...]:
+def cohort_key(
+    method: MonteCarloEuropean,
+    model: Model,
+    mode_paths: bool,
+    n_steps: int,
+    maturity: float,
+) -> tuple[Any, ...]:
     """Groups with equal keys consume identical draw streams when priced solo.
 
     Stackable schemes share draws across *different* models (each solo run
     would draw the same numbers from its same-seeded generator); opaque
     models only share with bit-equal models, so the model digest joins the
-    key.
+    key.  The batch planner (:func:`repro.pricing.batch.draw_cohort`) keys
+    its dispatch units on the same tuple.
     """
-    scheme = _scheme(group.model, group.mode_paths)
-    tag = scheme if scheme is not None else "opaque:" + group.model.param_digest()
-    method = group.method
+    scheme = _scheme(model, mode_paths)
+    tag = scheme if scheme is not None else "opaque:" + model.param_digest()
     return (
         tag,
-        group.mode_paths,
-        group.n_steps,
-        group.maturity,
+        mode_paths,
+        n_steps,
+        maturity,
         method.rng_kind,
         method.seed,
         method.antithetic,
         method.n_paths,
         method.batch_size,
-        max(group.model.dimension, 1),
+        max(model.dimension, 1),
     )
 
 
@@ -678,7 +686,9 @@ def run_groups(
         built.append(_build_group(method, model, products, sink))
     cohorts: dict[tuple[Any, ...], list[_Group]] = {}
     for group in built:
-        cohorts.setdefault(_cohort_key(group), []).append(group)
+        key = cohort_key(group.method, group.model, group.mode_paths, group.n_steps,
+                         group.maturity)
+        cohorts.setdefault(key, []).append(group)
     for cohort in cohorts.values():
         chunks = _chunk_groups(cohort)
         tape = [] if len(chunks) > 1 and _tape_elements(cohort[0]) <= _MAX_TAPE_ELEMENTS \

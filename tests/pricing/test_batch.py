@@ -11,10 +11,12 @@ from repro.pricing import (
     PricingProblem,
     ProblemBatch,
     ResultCache,
+    flat_correlation,
     plan_batches,
     price_problems,
     simulation_signature,
 )
+from repro.pricing.cache import problem_digest
 from repro.serial import serialize
 
 
@@ -337,3 +339,133 @@ class TestLargeFamilyAgreement:
             assert shared.price == alone.price
             assert shared.std_error == alone.std_error
             assert shared.extra["control_variate_beta"] == alone.extra["control_variate_beta"]
+
+
+class TestSignatureMemo:
+    def test_signature_is_memoized_per_problem(self):
+        problem = _mc_problem(100.0)
+        assert simulation_signature(problem) is simulation_signature(problem)
+
+    @pytest.mark.parametrize(
+        "replace",
+        [
+            lambda p: p.set_model("BlackScholes1D", spot=100.0, rate=0.05, volatility=0.3),
+            lambda p: p.set_option("CallEuro", strike=100.0, maturity=2.0),
+            lambda p: p.set_method("MC_European", n_paths=2_000, seed=9),
+        ],
+        ids=["set_model", "set_option", "set_method"],
+    )
+    def test_set_leg_invalidates_the_memo(self, replace):
+        problem = _mc_problem(100.0)
+        before = simulation_signature(problem)
+        replace(problem)
+        after = simulation_signature(problem)
+        assert after != before
+        assert after == _signature_of_fresh(problem)
+
+    def test_method_digest_is_memoized_per_instance(self, monkeypatch):
+        import repro.pricing.cache as cache_module
+
+        calls = []
+        original = cache_module.stable_digest
+        monkeypatch.setattr(cache_module, "stable_digest",
+                            lambda value: calls.append(1) or original(value))
+        method = MonteCarloEuropean(n_paths=1_000, seed=3)
+        first = method.param_digest()
+        assert method.param_digest() == first
+        assert len(calls) == 1
+        assert first == MonteCarloEuropean(n_paths=1_000, seed=3).param_digest()
+
+
+def _signature_of_fresh(problem: PricingProblem):
+    return simulation_signature(PricingProblem.from_dict(problem.to_dict()))
+
+
+class TestCachedStackedPricing:
+    def test_hits_from_cache_misses_in_one_kernel_call(self, monkeypatch):
+        import repro.pricing.kernel as kernel_module
+
+        def family(vol: float) -> list[PricingProblem]:
+            problems = []
+            for strike in (90.0, 100.0, 110.0):
+                problem = _mc_problem(strike, n_paths=1_500, antithetic=False,
+                                      control_variate=False)
+                problem.set_model("BlackScholes1D", spot=100.0, rate=0.05, volatility=vol)
+                problems.append(problem)
+            return problems
+
+        def book() -> list[PricingProblem]:
+            return family(0.2) + family(0.25) + family(0.3)
+
+        uncached = [r.price for r in price_problems(book(), kernel="stacked")]
+        cache = ResultCache()
+        warm = book()
+        for index in (0, 4, 8):
+            cache.put(problem_digest(warm[index]), warm[index].compute())
+        calls: list[int] = []
+        original = kernel_module.run_groups
+
+        def counting(groups, *args, **kwargs):
+            calls.append(len(groups))
+            return original(groups, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_module, "run_groups", counting)
+        problems = book()
+        results = price_problems(problems, cache=cache, kernel="stacked")
+        assert [r.price for r in results] == uncached
+        assert cache.stats.hits == 3
+        assert calls == [3]  # the six misses, three groups, one kernel call
+        assert cache.stats.puts == 3 + 6
+
+
+def _grid_batch(n_families: int = 30, n_strikes: int = 7) -> ProblemBatch:
+    """The 30 x 7 basket-put scenario grid as one stacked-kernel batch."""
+    corr = flat_correlation(10, 0.3).tolist()
+    problems = []
+    for family in range(n_families):
+        vols = [0.1 + 0.004 * family + 0.01 * a for a in range(10)]
+        for j in range(n_strikes):
+            problem = PricingProblem(label=f"scen{family:02d}_K{j}")
+            problem.set_asset("equity")
+            problem.set_model("BlackScholesND", spot=[100.0] * 10, rate=0.03,
+                              volatilities=vols, correlation=corr, dividends=0.0)
+            problem.set_option("BasketPutEuro", strike=80.0 + 40.0 * j / 6,
+                               maturity=1.0, weights=[0.1] * 10)
+            problem.set_method("MC_European", n_paths=20_000, n_steps=1,
+                               antithetic=False, control_variate=False, seed=5,
+                               rng_kind="sobol")
+            problems.append(problem)
+    return ProblemBatch(problems, keys=range(100, 100 + len(problems)), kernel="stacked")
+
+
+class TestProblemBatchWire:
+    def test_round_trip_keeps_members(self):
+        batch = _grid_batch(3, 2)
+        batch.problems[1].set_asset("commodity")
+        rebuilt = serialize(batch).unserialize()
+        assert rebuilt.keys == batch.keys
+        assert rebuilt.kernel == "stacked"
+        assert [p.label for p in rebuilt.problems] == [p.label for p in batch.problems]
+        assert [p.asset for p in rebuilt.problems] == [p.asset for p in batch.problems]
+        assert [problem_digest(p) for p in rebuilt.problems] == [
+            problem_digest(p) for p in batch.problems
+        ]
+
+    def test_equal_legs_share_one_instance(self):
+        rebuilt = serialize(_grid_batch(3, 4)).unserialize()
+        models = {id(p.model) for p in rebuilt.problems}
+        methods = {id(p.method) for p in rebuilt.problems}
+        assert len(models) == 3 and len(methods) == 1
+        assert rebuilt.problems[0].model is rebuilt.problems[3].model
+
+    def test_grid_encodes_to_a_third_of_per_member_bytes(self):
+        batch = _grid_batch()
+        per_member = sum(serialize(problem).nbytes for problem in batch.problems)
+        assert serialize(batch).nbytes * 3 <= per_member
+
+    @pytest.mark.parametrize("bad", [7, -1, "0", None])
+    def test_out_of_range_leg_raises_pricing_error(self, bad):
+        data = _grid_batch(2, 2).to_dict()
+        data["members"][1]["model"] = bad
+        with pytest.raises(PricingError, match="model leg"):
+            ProblemBatch.from_dict(data)
