@@ -7,25 +7,27 @@ each scenario valued at ``N_STRIKES`` strikes with the *same* quasi-random
 worst case for naive pricing because every position nominally re-draws and
 re-inverts the identical 10^5-point Sobol sample.  It is valued five ways:
 
-* **unbatched**: every position simulates its own path set (the pre-batch
-  behaviour);
-* **batched** (``batch=True``): the planner groups positions by simulation
-  signature and prices each scenario family against one shared path set;
-* **kernel=loop / kernel=stacked**: the plan-level kernel comparison
-  (``price_problems``) -- the loop baseline prices the plan one group at a
-  time, the stacked kernel runs *all* groups as one stacked-array
+* **unbatched**: a session run in which every position simulates its own
+  path set;
+* **batched** (``batch=True``): the session coalesces the grid's one draw
+  cohort into at most ``n_workers`` batch jobs, each priced with one
+  stacked-kernel call;
+* **per-problem / plan**: the same grid in-process, once problem by problem
+  (``problem.compute()``) and once through the batch planner
+  (``price_problems``), which runs *all* groups as one stacked-array
   computation in which every family consumes one shared draw cohort;
 * **cached**: a second batched run against a warm digest-keyed result cache.
 
-Prices must be *bit-identical* across all five runs (the stacked kernel
-replays the loop kernel's IEEE operation sequence; the differential suite
-under ``tests/differential/`` is the enforcement harness).  The batched run
-must beat unbatched by ``MIN_BATCH_SPEEDUP``, the stacked kernel must beat
-the batched loop baseline by ``MIN_STACKED_SPEEDUP``, and the cached run
-must answer every position from the cache.  Results land in
+Prices must be *bit-identical* across the session runs (``bit_identical``)
+and across the plan-level, per-problem and batched-session valuations
+(``plan_bit_identical``); the differential suite under
+``tests/differential/`` checks the engine against its loop reference.  The
+batched run must beat unbatched by ``MIN_BATCH_SPEEDUP``, the plan must beat
+per-problem pricing by ``MIN_PLAN_SPEEDUP``, and the cached run must answer
+every position from the cache.  Results land in
 ``benchmarks/results/BENCH_batch_pricing.json``.
 
-Run standalone for the CI smoke check (tiny sizes, 0-ULP kernel check)::
+Run standalone for the CI smoke check (tiny sizes, 0-ULP identity check)::
 
     PYTHONPATH=src python benchmarks/bench_batch_pricing.py --smoke
 """
@@ -62,7 +64,7 @@ SMOKE_PATHS = 4_096
 
 DIMENSION = 10
 MIN_BATCH_SPEEDUP = 5.0
-MIN_STACKED_SPEEDUP = 3.0
+MIN_PLAN_SPEEDUP = 5.0
 
 
 def build_scenario_grid(n_families: int, n_strikes: int, n_paths: int) -> Portfolio:
@@ -101,7 +103,7 @@ def build_scenario_grid(n_families: int, n_strikes: int, n_paths: int) -> Portfo
 
 
 def run_batch_benchmark(n_families: int, n_strikes: int, n_paths: int) -> dict:
-    """Time unbatched vs batched vs kernels vs cached on one scenario grid."""
+    """Time unbatched vs batched vs per-problem vs plan vs cached on one grid."""
     portfolio = build_scenario_grid(n_families, n_strikes, n_paths)
     n_positions = n_families * n_strikes
     plan = plan_batches([position.problem for position in portfolio])
@@ -114,18 +116,18 @@ def run_batch_benchmark(n_families: int, n_strikes: int, n_paths: int) -> dict:
     batched = ValuationSession(backend="local").run(portfolio, batch=True)
     batched_s = time.perf_counter() - start
 
-    # plan-level kernel comparison: fresh problems per run so no result is
-    # reused, same grouping, only the evaluation strategy differs
-    loop_grid = build_scenario_grid(n_families, n_strikes, n_paths)
+    # in-process: fresh problems per run so no result is reused; the plan
+    # prices the whole grid with one stacked call, per-problem pricing
+    # simulates every position alone
+    solo_grid = build_scenario_grid(n_families, n_strikes, n_paths)
     start = time.perf_counter()
-    loop_results = price_problems([p.problem for p in loop_grid], kernel="loop")
-    kernel_loop_s = time.perf_counter() - start
+    solo_results = [position.problem.compute() for position in solo_grid]
+    per_problem_s = time.perf_counter() - start
 
-    stacked_grid = build_scenario_grid(n_families, n_strikes, n_paths)
+    plan_grid = build_scenario_grid(n_families, n_strikes, n_paths)
     start = time.perf_counter()
-    stacked_results = price_problems([p.problem for p in stacked_grid],
-                                     kernel="stacked")
-    kernel_stacked_s = time.perf_counter() - start
+    plan_results = price_problems([p.problem for p in plan_grid])
+    plan_s = time.perf_counter() - start
 
     cached_session = ValuationSession(backend="local", cache=True)
     cached_session.run(portfolio, batch=True)  # warm the cache
@@ -139,11 +141,11 @@ def run_batch_benchmark(n_families: int, n_strikes: int, n_paths: int) -> dict:
     )
 
     prices = unbatched.prices()
-    ordered = [prices[job_id] for job_id in sorted(prices)]
-    kernels_bit_identical = (
-        [r.price for r in loop_results]
-        == [r.price for r in stacked_results]
-        == ordered
+    batched_prices = batched.prices()
+    plan_bit_identical = (
+        [r.price for r in plan_results]
+        == [r.price for r in solo_results]
+        == [batched_prices[job_id] for job_id in sorted(batched_prices)]
     )
     return {
         "n_positions": n_positions,
@@ -155,21 +157,21 @@ def run_batch_benchmark(n_families: int, n_strikes: int, n_paths: int) -> dict:
         "n_simulations_saved": plan.n_simulations_saved,
         "unbatched_wall_s": round(unbatched_s, 4),
         "batched_wall_s": round(batched_s, 4),
-        "kernel_loop_wall_s": round(kernel_loop_s, 4),
-        "kernel_stacked_wall_s": round(kernel_stacked_s, 4),
+        "per_problem_wall_s": round(per_problem_s, 4),
+        "plan_wall_s": round(plan_s, 4),
         "cached_wall_s": round(cached_s, 4),
         "speedup_batched": round(unbatched_s / batched_s, 2),
-        "speedup_stacked": round(kernel_loop_s / kernel_stacked_s, 2),
+        "speedup_plan": round(per_problem_s / plan_s, 2),
         "speedup_cached": round(unbatched_s / cached_s, 2),
-        "bit_identical": prices == batched.prices() == cached.prices(),
-        "kernels_bit_identical": kernels_bit_identical,
+        "bit_identical": prices == batched_prices == cached.prices(),
+        "plan_bit_identical": plan_bit_identical,
         "cache_hit_rate_warm": warm_hits / warm_lookups,
         "portfolio_value": round(sum(prices.values()), 6),
     }
 
 
 def test_batch_pricing_speedup(benchmark):
-    """Full grid: >=5x from shared paths, >=3x stacked-over-loop, bit-equal."""
+    """Full grid: >=5x batched and >=5x plan-over-per-problem, bit-equal."""
     payload = benchmark.pedantic(
         run_batch_benchmark, args=(FULL_FAMILIES, FULL_STRIKES, FULL_PATHS),
         rounds=1, iterations=1,
@@ -177,11 +179,11 @@ def test_batch_pricing_speedup(benchmark):
     write_bench_json("batch_pricing", payload)
 
     assert payload["bit_identical"], "batched prices must match unbatched bit-for-bit"
-    assert payload["kernels_bit_identical"], "stacked kernel must be bit-equal to loop"
+    assert payload["plan_bit_identical"], "plan, per-problem and batched prices must match"
     assert payload["n_groups"] == FULL_FAMILIES, "one group per scenario family"
     assert payload["n_simulations_saved"] == FULL_FAMILIES * (FULL_STRIKES - 1)
     assert payload["speedup_batched"] >= MIN_BATCH_SPEEDUP
-    assert payload["speedup_stacked"] >= MIN_STACKED_SPEEDUP
+    assert payload["speedup_plan"] >= MIN_PLAN_SPEEDUP
     assert payload["cache_hit_rate_warm"] == 1.0
     assert payload["speedup_cached"] >= payload["speedup_batched"]
 
@@ -201,8 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     if not payload["bit_identical"]:
         print("FAIL: batched prices differ from unbatched prices", file=sys.stderr)
         return 1
-    if not payload["kernels_bit_identical"]:
-        print("FAIL: stacked kernel prices differ from loop kernel (ULP != 0)",
+    if not payload["plan_bit_identical"]:
+        print("FAIL: plan-level, per-problem and batched prices differ (ULP != 0)",
               file=sys.stderr)
         return 1
     if payload["cache_hit_rate_warm"] != 1.0:
@@ -213,9 +215,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: batched speedup {payload['speedup_batched']} < {batch_floor}",
               file=sys.stderr)
         return 1
-    stacked_floor = 1.0 if smoke else MIN_STACKED_SPEEDUP
-    if payload["speedup_stacked"] < stacked_floor:
-        print(f"FAIL: stacked speedup {payload['speedup_stacked']} < {stacked_floor}",
+    plan_floor = 1.0 if smoke else MIN_PLAN_SPEEDUP
+    if payload["speedup_plan"] < plan_floor:
+        print(f"FAIL: plan speedup {payload['speedup_plan']} < {plan_floor}",
               file=sys.stderr)
         return 1
     return 0

@@ -7,7 +7,7 @@ single-model Monte-Carlo call ladder:
   rho, theta) for every position.  The serial bump-and-revalue oracle pays
   ~8 simulations per position (400 Sobol draws in all); the batched CRN
   scenario grid (:mod:`repro.pricing.scenarios`) expands the same ladder
-  into one ``price_problems(kernel="stacked")`` campaign whose spot/vol/rate
+  into one ``price_problems`` campaign whose spot/vol/rate
   bumps all share **one** draw cohort (the theta roll-down is the second),
   so the whole book costs two simulations;
 * **historical VaR**: a 1000-scenario spot-return campaign over the same

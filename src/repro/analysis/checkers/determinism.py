@@ -9,8 +9,8 @@ Five subsystems promise determinism by construction:
   pricing *because* every random number comes from the injected, seeded
   rng (:mod:`repro.pricing.rng`);
 * ``pricing/kernel`` -- the stacked Monte-Carlo kernel promises
-  bit-exactness with the loop kernel; a wall-clock or entropy read would
-  break the differential harness and the pinned draw digests;
+  bit-exactness with per-member loop pricing; a wall-clock or entropy
+  read would break the differential harness and the pinned draw digests;
 * ``pricing/scenarios`` -- the scenario-grid engine promises batched CRN
   Greeks bit-identical to the serial bump-and-revalue oracle; scenario
   expansion and Greek assembly must stay pure arithmetic over the seeded

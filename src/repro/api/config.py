@@ -194,17 +194,6 @@ class RunConfig:
     cost_model: Any | None = field(default=None, compare=False)
     batch: bool = False
     batch_group_size: int | None = None
-    #: Monte-Carlo evaluation strategy for shared-path batch jobs: "loop"
-    #: (per-group, per-member arithmetic; one job per signature group) or
-    #: "stacked" (the groups of a draw cohort share one job and one
-    #: stacked-array computation).  Bit-identical prices either way; the
-    #: kernel never enters simulation signatures or cache digests.
-    kernel: str = "loop"
-    #: smallest signature family coalesced into a ProblemBatch.  The default
-    #: (``None``) keeps the planner's threshold of 2; scenario-grid campaigns
-    #: (:mod:`repro.pricing.scenarios`) set 1 so even singleton cells ride
-    #: the batch path and the stacked kernel's shared-draw cohorts.
-    min_group_size: int | None = None
     cache: bool | None = None
     progress: Callable[..., None] | None = field(default=None, compare=False)
     cancel: Any | None = field(default=None, compare=False)
@@ -213,14 +202,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.batch_group_size is not None and self.batch_group_size < 2:
             raise ValuationError("RunConfig.batch_group_size must be >= 2 when given")
-        if self.min_group_size is not None and self.min_group_size < 1:
-            raise ValuationError("RunConfig.min_group_size must be >= 1 when given")
-        from repro.pricing.kernel import KERNELS
-
-        if self.kernel not in KERNELS:
-            raise ValuationError(
-                f"unknown kernel {self.kernel!r}; known: {list(KERNELS)}"
-            )
         if self.retry is not None and not isinstance(self.retry, RetryPolicy):
             raise ValuationError(
                 "RunConfig.retry must be a RetryPolicy (or None), got "

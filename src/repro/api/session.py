@@ -89,6 +89,10 @@ def _coerce_cache(cache: "ResultCache | str | Path | bool | None") -> ResultCach
     )
 
 
+class _ScenarioGrid(Portfolio):
+    """The synthetic (positions x scenarios) book of a risk campaign."""
+
+
 @dataclass
 class _RunPlan:
     """Everything one campaign needs, prepared before anything executes."""
@@ -391,8 +395,7 @@ class ValuationSession:
         backend: WorkerBackend,
         portfolio: Portfolio | None,
         cost_model: CostModel | None = None,
-        kernel: str = "loop",
-        min_group_size: int | None = None,
+        min_group_size: int = 2,
     ) -> _RunPlan:
         """Apply the cache pass and batch coalescing to a prepared job list."""
         if not jobs:
@@ -437,7 +440,7 @@ class ValuationSession:
         if batch:
             plan.jobs, plan.batch_members = self._coalesce_jobs(
                 plan.jobs, problem_by_id, batch_group_size,
-                cost_model or self.cost_model, kernel=kernel,
+                cost_model or self.cost_model,
                 min_group_size=min_group_size, n_workers=backend.n_workers,
             )
         return plan
@@ -535,8 +538,6 @@ class ValuationSession:
         store: Any,
         attach_problems: bool | None,
         cost_model: CostModel | None,
-        kernel: str = "loop",
-        min_group_size: int | None = None,
     ) -> _RunPlan:
         """Build the campaign plan for a portfolio or prepared job list."""
         backend = self._acquire_backend(strategy_name, cache=run_cache)
@@ -564,8 +565,9 @@ class ValuationSession:
             backend=backend,
             portfolio=portfolio,
             cost_model=cost_model,
-            kernel=kernel,
-            min_group_size=min_group_size,
+            # every scenario cell is a signature family of its own, yet it
+            # shares its base's draw cohort: plan the singletons too
+            min_group_size=1 if isinstance(source, _ScenarioGrid) else 2,
         )
 
     # -- portfolio runs ----------------------------------------------------------
@@ -580,8 +582,7 @@ class ValuationSession:
         config: RunConfig | None = None,
         batch: bool | None = None,
         batch_group_size: int | None = None,
-        kernel: str | None = None,
-        min_group_size: int | None = None,
+        kernel: str = "stacked",
         cache: bool | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
@@ -598,8 +599,13 @@ class ValuationSession:
         shared simulation per group).
         ``progress`` is called once per collected position; ``cancel`` (a
         :class:`CancelToken`) withdraws still-queued positions, which the
-        result marks as ``"cancelled before dispatch"`` errors.
+        result marks as ``"cancelled before dispatch"`` errors.  ``kernel``
+        only accepts ``"stacked"``, the one Monte-Carlo engine.
         """
+        if kernel != "stacked":
+            raise ValuationError(
+                f"unknown kernel {kernel!r}; the stacked engine is the only one"
+            )
         cost_model: CostModel | None = None
         scheduler_factory: Callable[[], Scheduler] | None = None
         retry: RetryPolicy | None = None
@@ -615,10 +621,6 @@ class ValuationSession:
                 batch = config.batch
             if batch_group_size is None:
                 batch_group_size = config.batch_group_size
-            if kernel is None:
-                kernel = config.kernel
-            if min_group_size is None:
-                min_group_size = config.min_group_size
             if cache is None:
                 cache = config.cache
             if progress is None:
@@ -645,8 +647,6 @@ class ValuationSession:
             store=store,
             attach_problems=attach_problems,
             cost_model=cost_model,
-            kernel=kernel or "loop",
-            min_group_size=min_group_size,
         )
         core, jobs = self._make_core(plan, make_runner(), strategy, progress, cancel)
         if (
@@ -807,8 +807,6 @@ class ValuationSession:
         config: RunConfig | None = None,
         batch: bool | None = None,
         batch_group_size: int | None = None,
-        kernel: str | None = None,
-        min_group_size: int | None = None,
         cache: bool | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
@@ -832,10 +830,6 @@ class ValuationSession:
                 batch = config.batch
             if batch_group_size is None:
                 batch_group_size = config.batch_group_size
-            if kernel is None:
-                kernel = config.kernel
-            if min_group_size is None:
-                min_group_size = config.min_group_size
             if cache is None:
                 cache = config.cache
             if progress is None:
@@ -852,8 +846,6 @@ class ValuationSession:
             store=store,
             attach_problems=attach_problems,
             cost_model=config.cost_model if config is not None else None,
-            kernel=kernel or "loop",
-            min_group_size=min_group_size,
         )
         core, jobs = self._make_core(plan, runner, strategy, progress, cancel)
         return StreamingRun(core, jobs)
@@ -866,20 +858,19 @@ class ValuationSession:
         scenarios: Sequence[Any],
         *,
         on_missing: str,
-        kernel: str,
         config: RunConfig | None,
     ) -> list[dict[str, float]]:
         """Price (problems x scenarios) as one batched campaign on the backend.
 
-        The expanded cells are wrapped into a synthetic portfolio and run with
-        ``batch=True, min_group_size=1``: the cells of one draw cohort
-        coalesce into at most ``n_workers``
+        The expanded cells are wrapped into a synthetic :class:`_ScenarioGrid`
+        book and run batched with every signature family planned, singletons
+        included (each bumped cell is a family of its own): the cells of one
+        draw cohort coalesce into at most ``n_workers``
         :class:`~repro.pricing.batch.ProblemBatch` super-jobs (which ride the
         shm transport on local backends and the wire protocol on remote
         ones), and the stacked kernel prices each super-job with one shared
-        draw.  Returns one ``{scenario name:
-        price}`` mapping per input problem, exactly like
-        :func:`repro.pricing.scenarios.price_scenarios`.
+        draw.  Returns one ``{scenario name: price}`` mapping per input
+        problem, exactly like :func:`repro.pricing.scenarios.price_scenarios`.
         """
         from repro.core.portfolio import Position
         from repro.pricing.scenarios import collect_cell_prices, expand_scenarios
@@ -894,11 +885,8 @@ class ValuationSession:
             )
             for index, problem in enumerate(expanded)
         ]
-        grid = Portfolio(name=f"{name}_scenarios", positions=grid_positions)
-        result = self.run(
-            grid, config=config, batch=True,
-            kernel=kernel, min_group_size=1,
-        )
+        grid = _ScenarioGrid(name=f"{name}_scenarios", positions=grid_positions)
+        result = self.run(grid, config=config, batch=True)
         prices = result.prices()
         missing = [index for index in range(len(expanded)) if index not in prices]
         if missing:
@@ -917,7 +905,6 @@ class ValuationSession:
         vol_bump: float = 0.01,
         rate_bump: float = 0.0001,
         theta_bump: float = 1.0 / 365.0,
-        kernel: str = "stacked",
         config: RunConfig | None = None,
     ) -> "Any":
         """Full finite-difference Greek ladder of a portfolio, batched.
@@ -946,7 +933,7 @@ class ValuationSession:
         )
         grids = self._run_scenario_grid(
             portfolio.name, [position.problem for position in positions], ladder,
-            on_missing="skip", kernel=kernel, config=config,
+            on_missing="skip", config=config,
         )
         pairs = [
             (
@@ -970,7 +957,6 @@ class ValuationSession:
         bumps: Sequence[float] | None = None,
         relative: bool = True,
         confidence: float = 0.99,
-        kernel: str = "stacked",
         config: RunConfig | None = None,
     ) -> dict[Any, Any]:
         """Run a risk campaign (historical VaR or a sensitivity sweep), batched.
@@ -1005,7 +991,7 @@ class ValuationSession:
             scenarios = historical_scenarios(returns)
             grids = self._run_scenario_grid(
                 portfolio.name, problems, scenarios,
-                on_missing="base", kernel=kernel, config=config,
+                on_missing="base", config=config,
             )
             base_value = sum(
                 position.quantity * grid["base"]
@@ -1030,7 +1016,7 @@ class ValuationSession:
             return {}
         grids = self._run_scenario_grid(
             portfolio.name, problems, scenarios,
-            on_missing="base", kernel=kernel, config=config,
+            on_missing="base", config=config,
         )
         return {
             float(bump): sum(
@@ -1057,30 +1043,32 @@ class ValuationSession:
         problem_by_id: Mapping[int, PricingProblem],
         batch_group_size: int | None,
         cost_model: CostModel | None = None,
-        kernel: str = "loop",
-        min_group_size: int | None = None,
-        n_workers: int = 1,
+        min_group_size: int = 2,
+        n_workers: int | None = None,
     ) -> tuple[list[Job], dict[int, tuple[int, ...]]]:
         """Merge each draw cohort's jobs into :class:`ProblemBatch` super-jobs.
 
         Positions are planned into signature groups, the groups clustered by
-        draw cohort under ``kernel`` (:func:`~repro.pricing.batch.draw_cohort`:
-        one group per cohort under the loop kernel) and each cohort packed
-        into at most ``n_workers`` jobs balanced by member count
-        (:func:`~repro.pricing.batch.cohort_jobs`).  ``batch_group_size``
-        caps the members of one job, also when that needs more jobs.  A
-        super-job takes the place of its first member in the job order.
+        draw cohort (:func:`~repro.pricing.batch.draw_cohort`) and each
+        cohort packed into at most ``n_workers`` jobs balanced by member
+        count (:func:`~repro.pricing.batch.cohort_jobs`).
+        ``batch_group_size`` caps the members of one job, also when that
+        needs more jobs.  ``n_workers=None`` (simulated sweeps) keeps one
+        job per signature group, the dispatch unit the batch-aware cost
+        model is calibrated on.  A super-job takes the place of its first
+        member in the job order.
         """
         model = cost_model or self.cost_model
         problems = [problem_by_id.get(job.job_id) for job in jobs]
-        plan = plan_batches(
-            problems,
-            min_group_size=min_group_size if min_group_size is not None else 2,
-            max_group_size=batch_group_size,
-        )
+        plan = plan_batches(problems, min_group_size=min_group_size,
+                            max_group_size=batch_group_size)
+        if n_workers is None:
+            parts = [[group] for group in plan.groups]
+        else:
+            parts = cohort_jobs(problems, plan.groups, n_workers, batch_group_size)
         super_jobs: dict[int, Job] = {}
         members_map: dict[int, tuple[int, ...]] = {}
-        for part in cohort_jobs(problems, plan.groups, kernel, n_workers, batch_group_size):
+        for part in parts:
             indices = sorted(index for group in part for index in group.indices)
             member_jobs = [jobs[i] for i in indices]
             first = member_jobs[0]
@@ -1096,7 +1084,7 @@ class ValuationSession:
                 ),
                 category=first.category,
                 problem=ProblemBatch([problem_by_id[j.job_id] for j in member_jobs],
-                                     keys=[j.job_id for j in member_jobs], kernel=kernel),
+                                     keys=[j.job_id for j in member_jobs]),
             )
             members_map[first.job_id] = tuple(j.job_id for j in member_jobs)
         grouped = {index for group in plan.groups for index in group.indices}

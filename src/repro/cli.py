@@ -168,15 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "path sets (--no-batch prices every position independently)",
     )
     run.add_argument(
-        "--kernel",
-        choices=("loop", "stacked"),
-        default="loop",
-        help="Monte-Carlo evaluation kernel for --batch groups: 'loop' "
-        "prices members one by one against the shared paths, 'stacked' "
-        "evaluates whole groups as one stacked-array computation "
-        "(bit-identical prices, much faster on large families)",
-    )
-    run.add_argument(
         "--cache",
         action="store_true",
         help="enable the digest-keyed result cache for this run",
@@ -223,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--confidence", type=float, default=0.99)
     risk.add_argument(
         "--seed", type=int, default=0, help="seed for the synthetic return history"
-    )
-    risk.add_argument(
-        "--kernel",
-        choices=("loop", "stacked"),
-        default="stacked",
-        help="Monte-Carlo kernel behind the batched scenario grid",
     )
     risk.add_argument(
         "--smoke",
@@ -368,14 +353,14 @@ def _cmd_table(table: str, args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_with_progress(session, portfolio, batch: bool, kernel: str = "loop"):
+def _run_with_progress(session, portfolio, batch: bool):
     """Stream a portfolio run, rendering per-position completion lines.
 
     Results land in completion order (the paper's master collecting from any
     source); each tick shows the collected count and the running mean
     standard error over the Monte-Carlo positions seen so far.
     """
-    streamed = session.stream(portfolio, batch=batch, kernel=kernel)
+    streamed = session.stream(portfolio, batch=batch)
     total = streamed.n_total
     count = 0
     se_sum = 0.0
@@ -447,11 +432,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         repeats = max(1, args.repeat)
         for iteration in range(repeats):
             if args.progress:
-                result = _run_with_progress(
-                    session, portfolio, batch=args.batch, kernel=args.kernel
-                )
+                result = _run_with_progress(session, portfolio, batch=args.batch)
             else:
-                result = session.run(portfolio, batch=args.batch, kernel=args.kernel)
+                result = session.run(portfolio, batch=args.batch)
             report = result.report
             prefix = f"[{iteration + 1}/{repeats}] " if repeats > 1 else ""
             print(
@@ -504,7 +487,7 @@ def _cmd_risk(args: argparse.Namespace) -> int:
     returns = np.random.default_rng(args.seed).normal(0.0, 0.01, args.var_scenarios)
 
     start = time.perf_counter()
-    batched = portfolio_greeks(portfolio, engine="batched", kernel=args.kernel)
+    batched = portfolio_greeks(portfolio, engine="batched")
     greeks_elapsed = time.perf_counter() - start
     print(f"portfolio Greeks (batched CRN engine, {args.positions} positions):")
     print(
@@ -520,7 +503,7 @@ def _cmd_risk(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     var = historical_var(
         portfolio, returns.tolist(), confidence=args.confidence,
-        engine="batched", kernel=args.kernel,
+        engine="batched",
     )
     var_elapsed = time.perf_counter() - start
     print(

@@ -166,7 +166,6 @@ def portfolio_greeks(
     rate_bump: float = 0.0001,
     theta_bump: float = 1.0 / 365.0,
     engine: str = "batched",
-    kernel: str = "stacked",
 ) -> PortfolioRiskReport:
     """Bump-and-revalue Greeks aggregated over the portfolio.
 
@@ -199,9 +198,7 @@ def portfolio_greeks(
             theta_bump=theta_bump, vol_param=VOL_PARAM,
         )
         problems = [position.problem for position in positions]
-        grids = price_scenarios(
-            problems, ladder, kernel=kernel, on_missing="skip"
-        )
+        grids = price_scenarios(problems, ladder, on_missing="skip")
         pairs = [
             (
                 position,
@@ -247,7 +244,6 @@ def sensitivity_sweep(
     value_function: Callable[[Portfolio], float] | None = None,
     *,
     engine: str = "batched",
-    kernel: str = "stacked",
 ) -> dict[float, float]:
     """Portfolio value as a function of a bumped model parameter.
 
@@ -267,9 +263,7 @@ def sensitivity_sweep(
         if not scenarios:
             return {}
         problems = [position.problem for position in positions]
-        grids = price_scenarios(
-            problems, scenarios, kernel=kernel, on_missing="base"
-        )
+        grids = price_scenarios(problems, scenarios, on_missing="base")
         out: dict[float, float] = {}
         for scenario, bump in zip(scenarios, bumps):
             out[float(bump)] = sum(
@@ -335,7 +329,6 @@ def historical_var(
     max_positions: int | None = None,
     *,
     engine: str = "batched",
-    kernel: str = "stacked",
 ) -> dict[str, Any]:
     """One-day historical value-at-risk of the portfolio.
 
@@ -361,9 +354,7 @@ def historical_var(
 
         scenarios = historical_scenarios(returns.tolist())
         problems = [position.problem for position in positions]
-        grids = price_scenarios(
-            problems, scenarios, kernel=kernel, on_missing="base"
-        )
+        grids = price_scenarios(problems, scenarios, on_missing="base")
         base_value = sum(
             position.quantity * grid["base"]
             for position, grid in zip(positions, grids)

@@ -19,10 +19,9 @@ This module provides the planning layer on top of
 * :func:`plan_batches` -- partition a problem list into shared-simulation
   groups and left-over singletons, preserving input order;
 * :func:`draw_cohort` -- the dispatch key: groups with equal cohorts consume
-  the same random stream under the run's kernel (the stacked kernel's
-  :func:`~repro.pricing.kernel.cohort_key`; the simulation signature itself
-  under the loop kernel), and :func:`cohort_jobs` -- split a plan into at
-  most a given number of balanced jobs per cohort;
+  the same random stream (the stacked kernel's
+  :func:`~repro.pricing.kernel.cohort_key`), and :func:`cohort_jobs` --
+  split a plan into at most a given number of balanced jobs per cohort;
 * :class:`ProblemBatch` -- a serializable bundle of the groups of one draw
   cohort that cluster workers price as one unit (registered with the XDR
   codec registry, so it ships over every transmission strategy that
@@ -47,7 +46,7 @@ from typing import TYPE_CHECKING, Any, Hashable, Sequence
 from repro.errors import PricingError
 from repro.pricing.cache import problem_digest
 from repro.pricing.engine import PricingProblem, _build_method, _build_model
-from repro.pricing.kernel import cohort_key, resolve_kernel
+from repro.pricing.kernel import cohort_key
 from repro.pricing.methods.base import PricingResult
 from repro.pricing.methods.montecarlo import MonteCarloEuropean, price_groups_stacked
 
@@ -206,19 +205,18 @@ def plan_batches(
     return BatchPlan(groups=tuple(groups), singles=tuple(sorted(singles)))
 
 
-def draw_cohort(problem: PricingProblem, kernel: str = "loop") -> Hashable | None:
-    """The draw cohort of ``problem`` under ``kernel``, or ``None``.
+def draw_cohort(problem: PricingProblem) -> Hashable | None:
+    """The draw cohort of ``problem``, or ``None``.
 
     Groups with equal cohorts consume the same random stream, so one
-    :class:`ProblemBatch` prices them all with one shared draw: under the
-    stacked kernel the key is :func:`~repro.pricing.kernel.cohort_key` (the
-    very key :func:`~repro.pricing.kernel.run_groups` clusters on); under
-    the loop kernel, which simulates each group on its own, it is the
-    simulation signature.  ``None`` for problems without a signature.
+    :class:`ProblemBatch` prices them all with one shared draw: the key is
+    :func:`~repro.pricing.kernel.cohort_key`, the very key
+    :func:`~repro.pricing.kernel.run_groups` clusters on.  ``None`` for
+    problems without a simulation signature.
     """
     signature = simulation_signature(problem)
-    if signature is None or resolve_kernel(kernel) == "loop":
-        return signature
+    if signature is None:
+        return None
     return cohort_key(problem.method, problem.model, signature.mode == "paths",
                       signature.n_steps, signature.maturity)
 
@@ -226,13 +224,12 @@ def draw_cohort(problem: PricingProblem, kernel: str = "loop") -> Hashable | Non
 def cohort_jobs(
     problems: Sequence[PricingProblem | None],
     groups: Sequence[BatchGroup],
-    kernel: str,
     n_jobs: int = 1,
     max_members: int | None = None,
 ) -> list[list[BatchGroup]]:
     """Split plan ``groups`` into jobs: at most ``n_jobs`` per draw cohort.
 
-    Groups are clustered by :func:`draw_cohort` under ``kernel``; each
+    Groups are clustered by :func:`draw_cohort`; each
     cohort's groups (never split) go largest first into its job with the
     fewest members.  A job never exceeds ``max_members`` members: a group
     that does not fit the lightest job opens another one, so the cap wins
@@ -243,7 +240,7 @@ def cohort_jobs(
     for group in groups:
         problem = problems[group.indices[0]]
         assert problem is not None  # planned groups only index real problems
-        cohorts.setdefault(draw_cohort(problem, kernel), []).append(group)
+        cohorts.setdefault(draw_cohort(problem), []).append(group)
     jobs: list[list[BatchGroup]] = []
     for cohort in cohorts.values():
         bins: list[list[BatchGroup]] = [[] for _ in range(min(n_jobs, len(cohort)))]
@@ -267,8 +264,7 @@ class ProblemBatch:
 
     The batch is what the master ships to a worker in batch mode: one message
     carrying every member of one or more shared-simulation groups whose
-    random streams coincide under ``kernel`` (see :func:`draw_cohort`; under
-    the loop kernel that is a single simulation signature).  ``compute()``
+    random streams coincide (see :func:`draw_cohort`).  ``compute()``
     prices every group with one kernel call and returns one result per
     member.  The class round-trips through the XDR serializer (codec
     registered in :mod:`repro.serial`) in a compact form: each distinct
@@ -279,7 +275,6 @@ class ProblemBatch:
         self,
         problems: Sequence[PricingProblem],
         keys: Sequence[int] | None = None,
-        kernel: str = "loop",
     ):
         problems = list(problems)
         if len(problems) < 1:
@@ -289,22 +284,16 @@ class ProblemBatch:
         keys = [int(key) for key in keys]
         if len(keys) != len(problems):
             raise PricingError("ProblemBatch keys must match the problems one-to-one")
-        #: evaluation strategy for the shared pass -- never part of the
-        #: simulation signature or any digest (both kernels are bit-equal)
-        self.kernel = resolve_kernel(kernel)
         signature = simulation_signature(problems[0])
         if signature is None:
             raise PricingError(
                 "ProblemBatch members must support shared-path simulation "
                 "(Monte-Carlo European problems with a simulation signature)"
             )
-        reference = draw_cohort(problems[0], self.kernel)
+        reference = draw_cohort(problems[0])
         for problem in problems[1:]:
-            if draw_cohort(problem, self.kernel) != reference:
-                raise PricingError(
-                    "all ProblemBatch members must share one draw cohort (one "
-                    "simulation signature under the loop kernel)"
-                )
+            if draw_cohort(problem) != reference:
+                raise PricingError("all ProblemBatch members must share one draw cohort")
         self.problems = problems
         self.keys = keys
         #: the first member's signature (members may carry several)
@@ -327,9 +316,8 @@ class ProblemBatch:
         is an independent read-only consumer of the shared paths.  The rest
         are grouped by simulation signature and priced in one pass: one
         :func:`~repro.pricing.methods.montecarlo.price_groups_stacked` call
-        for every group under the stacked kernel, one ``price_many`` per
-        group under the loop kernel.  Freshly computed results are written
-        back to the cache.
+        for every group.  Freshly computed results are written back to the
+        cache.
 
         If the shared pass fails (e.g. one member's payoff produces a
         non-finite price), the batch degrades to per-member pricing so a
@@ -356,11 +344,7 @@ class ProblemBatch:
             for members in groups
         ]
         try:
-            if self.kernel == "stacked":
-                per_group = price_groups_stacked(specs)
-            else:
-                per_group = [method.price_many(model, products)
-                             for method, model, products in specs]
+            per_group = price_groups_stacked(specs)
         except Exception:  # noqa: BLE001 - isolate the failing member below
             per_group = None
         if per_group is not None:
@@ -415,8 +399,7 @@ class ProblemBatch:
                 "method": method_index,
                 "option": {"name": product.option_name, "params": product.to_params()},
             })
-        return {"models": model_legs, "methods": method_legs, "members": members,
-                "kernel": self.kernel}
+        return {"models": model_legs, "methods": method_legs, "members": members}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProblemBatch":
@@ -431,8 +414,7 @@ class ProblemBatch:
             problem.set_option(member["option"]["name"], **member["option"]["params"])
             problem.set_method(_leg(methods, member["method"], "method"))
             problems.append(problem)
-        return cls(problems, keys=[member["key"] for member in data["members"]],
-                   kernel=data["kernel"])
+        return cls(problems, keys=[member["key"] for member in data["members"]])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"ProblemBatch(n={len(self.problems)}, signature={self.signature.mode!r})"
@@ -450,30 +432,30 @@ def _leg(legs: list[Any], index: Any, kind: str) -> Any:
 
 def price_problems(
     problems: Sequence[PricingProblem],
-    min_group_size: int = 2,
-    max_group_size: int | None = None,
     cache: "ResultCache | None" = None,
-    kernel: str = "loop",
+    kernel: str = "stacked",
 ) -> list[PricingResult]:
     """Price ``problems`` with shared-path grouping, in input order.
 
     Plans the problems, prices each draw cohort of the plan as one
-    :class:`ProblemBatch` (``kernel="stacked"``: groups whose simulation
-    signatures differ only in stackable model parameters share one normal
-    draw) and prices singletons with ``problem.compute()``.  With a
-    ``cache``, hits are served from it and only the misses are simulated.
-    Every result is also stored on its problem
-    (``problem.get_method_results()`` works afterwards), and prices are
-    bit-identical to per-problem pricing for any grouping and either kernel.
+    :class:`ProblemBatch` (groups whose simulation signatures differ only
+    in stackable model parameters share one normal draw) and prices
+    problems without a simulation signature with ``problem.compute()``.
+    Every signature family is planned, singletons included: a cohort is
+    one kernel call whatever its group sizes.  With a ``cache``, hits are
+    served from it and only the misses are simulated.  Every result is also
+    stored on its problem (``problem.get_method_results()`` works
+    afterwards), and prices are bit-identical to per-problem pricing.
+    ``kernel`` only accepts ``"stacked"``, the one Monte-Carlo engine.
     """
-    kernel = resolve_kernel(kernel)
+    if kernel != "stacked":
+        raise PricingError(f"unknown kernel {kernel!r}; the stacked engine is the only one")
     problems = list(problems)
-    plan = plan_batches(problems, min_group_size=min_group_size,
-                        max_group_size=max_group_size)
+    plan = plan_batches(problems, min_group_size=1)
     results: dict[int, PricingResult] = {}
-    for job in cohort_jobs(problems, plan.groups, kernel):
+    for job in cohort_jobs(problems, plan.groups):
         indices = sorted(index for group in job for index in group.indices)
-        batch = ProblemBatch([problems[i] for i in indices], keys=indices, kernel=kernel)
+        batch = ProblemBatch([problems[i] for i in indices], keys=indices)
         for key, entry in batch.compute(cache=cache).items():
             if "error" in entry:
                 # match unbatched semantics: computing this problem raises

@@ -11,8 +11,8 @@ to the parameters").
 Two engines evaluate the same ladder:
 
 * ``engine="batched"`` (default) expands the bumps through
-  :mod:`repro.pricing.scenarios` and prices them as one
-  ``kernel="stacked"`` campaign -- Monte-Carlo bumps share **one** draw
+  :mod:`repro.pricing.scenarios` and prices them as one stacked-kernel
+  campaign -- Monte-Carlo bumps share **one** draw
   cohort with the base (common random numbers by construction), so a full
   ladder costs two simulations instead of ten;
 * ``engine="serial"`` is the pre-batch bump-and-revalue loop, kept verbatim
@@ -111,7 +111,6 @@ def compute_greeks(
     theta_bump: float = 1.0 / 365.0,
     compute_theta: bool = True,
     engine: str = "batched",
-    kernel: str = "stacked",
 ) -> GreekReport:
     """Bump-and-revalue Greeks.
 
@@ -131,8 +130,6 @@ def compute_greeks(
     engine:
         ``"batched"`` prices the whole ladder as one stacked-kernel scenario
         campaign; ``"serial"`` reprices bump by bump (the oracle path).
-    kernel:
-        Plan-level kernel of the batched engine (``"stacked"`` or ``"loop"``).
 
     Notes
     -----
@@ -153,7 +150,7 @@ def compute_greeks(
         return _compute_greeks_batched(
             model, product, method, spot_bump=spot_bump, vol_bump=vol_bump,
             rate_bump=rate_bump, theta_bump=theta_bump, compute_vega=compute_vega,
-            compute_rho=compute_rho, compute_theta=compute_theta, kernel=kernel,
+            compute_rho=compute_rho, compute_theta=compute_theta,
         )
 
     base = method.price(model, product).price
@@ -210,7 +207,6 @@ def _compute_greeks_batched(
     compute_vega: bool,
     compute_rho: bool,
     compute_theta: bool,
-    kernel: str,
 ) -> GreekReport:
     """One-position ladder through the scenario-grid engine."""
     # imported lazily: scenarios builds on this module (no import cycle)
@@ -227,7 +223,7 @@ def _compute_greeks_batched(
         theta_bump=theta_bump, compute_vega=compute_vega, compute_rho=compute_rho,
         compute_theta=compute_theta, vol_param=_vol_param(model),
     )
-    prices = price_scenarios([problem], scenarios, kernel=kernel)[0]
+    prices = price_scenarios([problem], scenarios)[0]
     return greeks_from_prices(
         model, product, prices, spot_bump=spot_bump, vol_bump=vol_bump,
         rate_bump=rate_bump, theta_bump=theta_bump,

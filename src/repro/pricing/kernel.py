@@ -1,13 +1,9 @@
 """Stacked-array Monte-Carlo kernel: many groups, one numpy computation.
 
-The batch planner (:mod:`repro.pricing.batch`) already shares one simulated
-path set across every member of a group, but the evaluation itself remains a
-python-level loop: one ``simulate_paths`` call per group, one payoff call per
-member per batch.  This module is the vectorized alternative -- the
-``kernel="stacked"`` engine selected through
-:meth:`~repro.pricing.methods.montecarlo.MonteCarloEuropean.price_many`,
-:class:`~repro.pricing.batch.ProblemBatch` or
-:class:`~repro.api.config.RunConfig`:
+This is the only Monte-Carlo evaluation engine of the library: solo
+pricing, :meth:`~repro.pricing.methods.montecarlo.MonteCarloEuropean.price_many`
+and :class:`~repro.pricing.batch.ProblemBatch` all call :func:`run_groups`.
+A call prices any number of shared-simulation groups at once:
 
 * **draw cohorts** -- groups of a plan whose methods share (rng kind, seed,
   antithetic flag, path counts, batching) and whose models share a stacked
@@ -27,12 +23,14 @@ member per batch.  This module is the vectorized alternative -- the
   strike/barrier/rebate columns.  Unrecognised products fall back to the
   per-member loop expressions.
 
-Every vectorized expression mirrors the loop kernel's IEEE operation
+Every vectorized expression mirrors the per-member loop's IEEE operation
 sequence -- same draws in the same order, same parenthesisation, same
 per-batch accumulation -- so prices and per-path samples are **bit-identical**
-to ``kernel="loop"``.  The claim is enforced mechanically by the
-``tests/differential`` suite, which asserts ``np.array_equal`` over a matrix
-of (model x product x antithetic x batch shape) coordinates.
+to pricing each member alone with a plain python loop.  The claim is
+enforced mechanically by the ``tests/differential`` suite, which keeps that
+loop as its reference (``tests/differential/loop_reference.py``) and
+asserts ``np.array_equal`` over a matrix of (model x product x antithetic x
+batch shape) coordinates.
 
 This module is under the repro-lint determinism contract: it never reads a
 wall clock or an entropy source; all randomness comes from the seeded
@@ -67,16 +65,10 @@ from repro.pricing.products.vanilla import (
 from repro.pricing.rng import AntitheticGenerator, RandomGenerator, create_generator
 
 __all__ = [
-    "KERNELS",
-    "resolve_kernel",
     "cohort_key",
     "run_groups",
-    "price_many_stacked",
     "draw_digest",
 ]
-
-#: the evaluation kernels selectable through RunConfig / price_many
-KERNELS = ("loop", "stacked")
 
 #: memory budget for one stacked simulation chunk, in float64 elements
 #: (~8 MiB); a cohort whose groups would exceed it is split into chunks,
@@ -98,16 +90,6 @@ SampleSink = Callable[[int, np.ndarray], None]
 
 #: one group of the plan: (method, model, member products)
 GroupSpec = tuple[MonteCarloEuropean, Model, Sequence[Product]]
-
-
-def resolve_kernel(kernel: str | None) -> str:
-    """Normalise and validate a kernel name (``None`` means ``"loop"``)."""
-    if kernel is None:
-        return "loop"
-    kernel = str(kernel).lower()
-    if kernel not in KERNELS:
-        raise PricingError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    return kernel
 
 
 # -- payoff families -----------------------------------------------------------
@@ -427,7 +409,7 @@ def _cohort_rng(
     tape: list | None = None,
     replay: bool = False,
 ) -> RandomGenerator:
-    """The cohort's generator -- identical to ``method._make_rng``.
+    """The cohort's generator: the method's seeded (antithetic) stream.
 
     With a ``tape``, the base draws are recorded (first chunk) or replayed
     (later chunks) *below* the recording wrapper, so ``record`` observes the
@@ -492,9 +474,9 @@ def _family_payoffs(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Payoff matrix ``(n_members, batch)`` and shared control array.
 
-    Each row reproduces the member's loop-kernel payoff expression with the
-    member parameter broadcast as a column; the control variate (when used)
-    is the loop's ``_control_value`` observable, computed once per family.
+    Each row reproduces the member's own payoff expression with the member
+    parameter broadcast as a column; the control variate (when used) is the
+    method's ``_control_value`` observable, computed once per family.
     """
     strikes = fam.strikes[:, None]
     if fam.kind == "vanilla":
@@ -632,8 +614,8 @@ def _run_chunk(
 
     n_total = method0.n_paths
     if method0.antithetic and n_total % 2:
-        # same odd-n_paths parity fix as the loop kernel: simulate one extra
-        # path to complete the last antithetic pair, report exact counts
+        # odd n_paths under antithetic sampling: simulate one extra path to
+        # complete the last antithetic pair, report exact counts
         n_total += 1
 
     n_done = 0
@@ -671,8 +653,8 @@ def run_groups(
     per shared-simulation group.  Groups are clustered into draw cohorts,
     each cohort simulated as one stacked computation (chunked to a memory
     budget), and each group's members evaluated family-vectorized.  Returns
-    one result list per group, in input order, bit-identical to
-    ``method.price_many(model, products)`` per group.
+    one result list per group, in input order, bit-identical to pricing
+    each group in a call of its own.
 
     ``sample_sinks`` optionally maps a group index to a callable receiving
     ``(member_index, payoff_batch)`` for every batch -- the differential
@@ -712,17 +694,6 @@ def _tape_elements(group: _Group) -> int:
     return (n_total // 2 if method.antithetic else n_total) * per_path
 
 
-def price_many_stacked(
-    method: MonteCarloEuropean,
-    model: Model,
-    products: Sequence[Product],
-    sample_sink: SampleSink | None = None,
-) -> list[PricingResult]:
-    """Stacked-kernel equivalent of one ``price_many`` call (one group)."""
-    sinks = {0: sample_sink} if sample_sink is not None else None
-    return run_groups([(method, model, list(products))], sample_sinks=sinks)[0]
-
-
 def draw_digest(
     method: MonteCarloEuropean, model: Model, products: Sequence[Product]
 ) -> str:
@@ -730,8 +701,8 @@ def draw_digest(
 
     The digest covers every base-generator draw (below the antithetic
     wrapper) in consumption order, so it pins the RNG stream itself: a
-    regression that changes *what* is drawn is caught even if both kernels
-    drift together and still agree with each other.
+    regression that changes *what* is drawn is caught even if the engine
+    and its loop reference drift together and still agree with each other.
     """
     hasher = hashlib.sha256()
     run_groups([(method, model, list(products))], record=hasher.update)

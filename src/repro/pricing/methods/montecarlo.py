@@ -31,7 +31,6 @@ from repro.pricing.models.black_scholes import BlackScholesModel
 from repro.pricing.products.barrier import BarrierOption
 from repro.pricing.products.base import ExerciseStyle, Product
 from repro.pricing.products.basket import BasketOption
-from repro.pricing.rng import AntitheticGenerator, create_generator
 
 __all__ = ["MonteCarloEuropean", "price_groups_stacked"]
 
@@ -57,22 +56,22 @@ def _stamp_and_validate(
 
 def price_groups_stacked(
     groups: Sequence[tuple["MonteCarloEuropean", Model, Sequence[Product]]],
+    sample_sinks: dict[int, Any] | None = None,
 ) -> list[list[PricingResult]]:
     """Price several shared-simulation groups through the stacked kernel.
 
-    The plan-level entry point used by batch pricing with
-    ``kernel="stacked"``: all groups go to
+    The one Monte-Carlo evaluation path: solo pricing, ``price_many`` and
+    batch pricing all land here.  All groups go to
     :func:`repro.pricing.kernel.run_groups` together, so groups whose
     methods draw identical random streams share one stacked simulation
-    (cross-group draw cohorts).  Results are bit-identical to calling
-    ``method.price_many(model, products)`` per group; elapsed time is
-    measured here (the kernel module is wall-clock-free by contract) and
-    shared across each group's members.
+    (cross-group draw cohorts).  Results are bit-identical to pricing each
+    group on its own; elapsed time is measured here (the kernel module is
+    wall-clock-free by contract) and shared across each group's members.
     """
     from repro.pricing.kernel import run_groups
 
     start = time.perf_counter()
-    all_results = run_groups(groups)
+    all_results = run_groups(groups, sample_sinks=sample_sinks)
     elapsed = time.perf_counter() - start
     n_members = sum(len(results) for results in all_results) or 1
     for (method, model, products), results in zip(groups, all_results):
@@ -188,12 +187,6 @@ class MonteCarloEuropean(PricingMethod):
             return max(1, int(n_fixings))
         return 1
 
-    def _make_rng(self, dimension: int):
-        rng = create_generator(self.rng_kind, seed=self.seed, dimension=dimension)
-        if self.antithetic:
-            rng = AntitheticGenerator(rng)
-        return rng
-
     def _adjusted_product(self, model: Model, product: Product, n_steps: int) -> Product:
         """Apply the barrier continuity correction when appropriate."""
         if (
@@ -242,7 +235,7 @@ class MonteCarloEuropean(PricingMethod):
     def _price(self, model: Model, product: Product) -> PricingResult:
         # single-product pricing is the one-member case of the shared-path
         # engine, so batched portfolio pricing is bit-identical by construction
-        return self._price_shared(model, [product])[0]
+        return self.price_many(model, [product])[0]
 
     def shares_simulation(self, model: Model, a: Product, b: Product) -> bool:
         """Whether ``a`` and ``b`` can be priced against one shared path set.
@@ -263,7 +256,6 @@ class MonteCarloEuropean(PricingMethod):
         model: Model,
         products: Sequence[Product],
         *,
-        kernel: str = "loop",
         sample_sink: Any = None,
     ) -> list[PricingResult]:
         """Price several products against **one** shared simulated path set.
@@ -276,117 +268,17 @@ class MonteCarloEuropean(PricingMethod):
         alone -- the paths are a deterministic function of (model, rng kind,
         seed, batching), which every member reproduces independently.
 
-        ``kernel`` selects the evaluation engine: ``"loop"`` (the per-member
-        python loop above) or ``"stacked"`` (the vectorized engine of
-        :mod:`repro.pricing.kernel`, bit-identical by construction and
-        enforced so by the differential test suite).  ``kernel`` is an
-        evaluation strategy, **not** a method parameter: it never enters
-        :meth:`to_params`, so digests, signatures and cache keys are
-        unchanged by the choice.  ``sample_sink``, when given, receives
-        ``(member_index, payoff_batch)`` for every simulated batch (payoffs
-        pair-averaged when antithetic) -- the differential harness uses it
-        to compare per-path samples across kernels.
+        The products form one group of the stacked engine
+        (:func:`repro.pricing.kernel.run_groups`).  ``sample_sink``, when
+        given, receives ``(member_index, payoff_batch)`` for every simulated
+        batch (payoffs pair-averaged when antithetic) -- the differential
+        harness uses it to compare per-path samples with its loop reference.
         """
         products = list(products)
         if not products:
             return []
-        for product in products:
-            self.check_supports(model, product)
-        start = time.perf_counter()
-        if kernel == "loop":
-            results = self._price_shared(model, products, sample_sink=sample_sink)
-        elif kernel == "stacked":
-            from repro.pricing.kernel import price_many_stacked
-
-            results = price_many_stacked(self, model, products, sample_sink=sample_sink)
-        else:
-            raise PricingError(f"unknown kernel {kernel!r}; expected 'loop' or 'stacked'")
-        elapsed = time.perf_counter() - start
-        _stamp_and_validate(self, model, products, results, elapsed)
-        return results
-
-    def _price_shared(
-        self, model: Model, products: list[Product], sample_sink: Any = None
-    ) -> list[PricingResult]:
-        n_steps = self._effective_steps(model, products[0])
-        maturity = products[0].maturity
-        mode_paths = products[0].path_dependent or n_steps > 1
-        for product in products[1:]:
-            if not self.shares_simulation(model, products[0], product):
-                raise PricingError(
-                    "products in a shared-path batch must induce the same "
-                    "simulation grid and sampling mode"
-                )
-        members = [
-            _MemberState(
-                product=product,
-                product_adj=self._adjusted_product(model, product, n_steps),
-                use_cv=self.control_variate and not product.path_dependent,
-                discount=model.discount_factor(product.maturity),
-            )
-            for product in products
-        ]
-
-        n_total = self.n_paths
-        if self.antithetic and n_total % 2:
-            n_total += 1
-
-        n_done = 0
-        n_samples = 0
-        rng = self._make_rng(dimension=max(model.dimension, 1))
-        times = np.linspace(0.0, maturity, n_steps + 1)
-
-        # simulate batch by batch (bounding memory) and evaluate every
-        # member's payoff against the same path array
-        while n_done < n_total:
-            batch = min(self.batch_size, n_total - n_done)
-            if self.antithetic:
-                # keep antithetic pairs inside one batch; n_total is even, so
-                # flooring (rather than padding past batch_size) never stalls
-                # and the memory bound is respected even for odd batch sizes
-                batch -= batch % 2
-            if mode_paths:
-                paths = model.simulate_paths(rng, batch, times)
-                terminal = paths[:, -1] if paths.ndim == 2 else paths[:, -1, :]
-            else:
-                paths = None
-                terminal = model.sample_terminal(rng, batch, maturity)
-            half = batch // 2
-            for index, member in enumerate(members):
-                if mode_paths:
-                    payoffs = member.product_adj.path_payoff(paths, times)
-                else:
-                    payoffs = member.product_adj.terminal_payoff(terminal)
-                payoffs = np.asarray(payoffs, dtype=float)
-                if member.use_cv:
-                    control = self._control_value(model, terminal, member.product_adj)
-                else:
-                    control = None
-                if self.antithetic:
-                    # average each antithetic pair so that the variance
-                    # estimate reflects the actual (pairwise-coupled) estimator
-                    payoffs = 0.5 * (payoffs[:half] + payoffs[half:])
-                    if control is not None:
-                        control = 0.5 * (control[:half] + control[half:])
-                member.sum_payoff += payoffs.sum()
-                member.sum_payoff2 += (payoffs**2).sum()
-                if control is not None:
-                    member.sum_control += control.sum()
-                    member.sum_control2 += (control**2).sum()
-                    member.sum_cross += (payoffs * control).sum()
-                if sample_sink is not None:
-                    sample_sink(index, payoffs)
-            n_done += batch
-            n_samples += half if self.antithetic else batch
-
-        # exact sample accounting: the estimator consumed n_samples
-        # (pair-averaged) samples, i.e. n_paths_used simulated paths -- no
-        # padded phantom paths are ever reported
-        n_paths_used = 2 * n_samples if self.antithetic else n_samples
-        return [
-            self._finalize_member(model, member, n_samples, n_paths_used, n_steps)
-            for member in members
-        ]
+        sinks = None if sample_sink is None else {0: sample_sink}
+        return price_groups_stacked([(self, model, products)], sample_sinks=sinks)[0]
 
     def _finalize_member(
         self,

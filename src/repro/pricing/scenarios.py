@@ -8,7 +8,7 @@ cell prices the same product under a slightly perturbed model.  Priced
 naively, every cell re-simulates its own path set; priced through this
 module, the grid is expanded into :func:`~repro.pricing.batch.plan_batches`
 groups tagged with their scenario coordinates and evaluated by
-``price_problems(kernel="stacked")`` -- and because the stacked kernel's
+``price_problems`` -- and because the stacked kernel's
 draw cohorts (:func:`repro.pricing.kernel.run_groups`) key on the *method*
 (rng kind, seed, antithetic, path counts) and the time grid but **not** on
 the model parameters of stackable schemes, every bumped variant of a
@@ -33,10 +33,10 @@ Building blocks:
   scenarios) into a flat problem list plus :class:`ScenarioCell`
   coordinates (the round-trip from flat index back to (position, scenario)
   is what the property tests pin);
-* :func:`price_scenarios` -- expand, price through the batch planner with
-  ``min_group_size=1`` (every cell is its own signature group; the stacked
-  kernel still clusters them into shared-draw cohorts), and return one
-  ``{scenario name: price}`` mapping per input problem;
+* :func:`price_scenarios` -- expand, price through the batch planner
+  (every cell is its own signature group; the stacked kernel clusters them
+  into shared-draw cohorts), and return one ``{scenario name: price}``
+  mapping per input problem;
 * :func:`greeks_from_prices` -- assemble finite-difference Greeks from a
   priced ladder with exactly the serial path's IEEE expressions, so the
   batched Greeks match the serial oracle bit for bit when the prices do.
@@ -298,32 +298,23 @@ def collect_cell_prices(
 def price_scenarios(
     problems: Sequence[PricingProblem],
     scenarios: Sequence[Scenario],
-    kernel: str = "stacked",
     on_missing: str = "raise",
-    min_group_size: int = 1,
-    max_group_size: int | None = None,
     cache: "ResultCache | None" = None,
 ) -> list[dict[str, float]]:
     """Price a whole scenario grid as one batched campaign.
 
-    The expanded cells go through :func:`~repro.pricing.batch.price_problems`
-    with ``min_group_size=1``: bumped cells carry distinct model digests, so
-    each is its own plan group, and the stacked kernel clusters all groups
-    that share (scheme, time grid, rng kind, seed, antithetic, path counts)
-    into **one draw cohort** -- base and bumps consume the same normal
+    The expanded cells go through :func:`~repro.pricing.batch.price_problems`:
+    bumped cells carry distinct model digests, so each is its own plan
+    group, and the stacked kernel clusters all groups that share (scheme,
+    time grid, rng kind, seed, antithetic, path counts) into **one draw
+    cohort** -- base and bumps consume the same normal
     stream (common random numbers by construction).  Non-Monte-Carlo cells
     (closed forms, trees, PDEs) fall through to per-problem pricing
     unchanged, so grids over mixed books are always safe.
     """
     problems = list(problems)
     expanded, cells = expand_scenarios(problems, scenarios, on_missing=on_missing)
-    results = price_problems(
-        expanded,
-        min_group_size=min_group_size,
-        max_group_size=max_group_size,
-        cache=cache,
-        kernel=kernel,
-    )
+    results = price_problems(expanded, cache=cache)
     return collect_cell_prices(
         [result.price for result in results], cells, scenarios, len(problems)
     )

@@ -166,7 +166,6 @@ class PricingService:
             rate_bump=float(body.get("rate_bump", 0.0001)),
             theta_bump=float(body.get("theta_bump", 1.0 / 365.0)),
             engine=engine,
-            kernel=str(body.get("kernel", "stacked")),
         )
         self.count("greek_ladders")
         return {

@@ -9,7 +9,7 @@ from repro.cli import build_parser
 from repro.core import build_realistic_portfolio
 from repro.core.portfolio import Portfolio, Position
 from repro.errors import ValuationError
-from repro.pricing import PricingProblem
+from repro.pricing import PricingProblem, ProblemBatch, simulation_signature
 
 
 def _mc_family(n: int = 6, n_paths: int = 1_500) -> Portfolio:
@@ -21,6 +21,21 @@ def _mc_family(n: int = 6, n_paths: int = 1_500) -> Portfolio:
         problem.set_option("CallEuro", strike=90.0 + 4.0 * index, maturity=1.0)
         problem.set_method("MC_European", n_paths=n_paths, seed=4)
         portfolio.add(Position(problem=problem, category="mc", label=problem.label))
+    return portfolio
+
+
+def _vol_families(n_families: int = 4, n_strikes: int = 3) -> Portfolio:
+    """Volatility families of one seeded call ladder: one draw cohort."""
+    portfolio = Portfolio(name="vol_families")
+    for family in range(n_families):
+        for j in range(n_strikes):
+            problem = PricingProblem(label=f"v{family}_K{j}")
+            problem.set_asset("equity")
+            problem.set_model("BlackScholes1D", spot=100.0, rate=0.05,
+                              volatility=0.15 + 0.05 * family)
+            problem.set_option("CallEuro", strike=90.0 + 10.0 * j, maturity=1.0)
+            problem.set_method("MC_European", n_paths=1_500, seed=4)
+            portfolio.add(Position(problem=problem, category="mc", label=problem.label))
     return portfolio
 
 
@@ -227,3 +242,31 @@ class TestCliFlags:
         assert args.batch is False
         assert args.cache is False
         assert args.cache_dir is None
+
+
+class TestSweepShape:
+    """Batched sweeps ship one ProblemBatch per signature group.
+
+    The four volatility families share one draw cohort, so cohort packing
+    would merge them into a single job; the sweep keeps the per-group
+    unit its cost model prices, without any ``batch_group_size`` cap.
+    """
+
+    def test_one_batch_job_per_signature_group(self):
+        jobs = ValuationSession(backend="simulated")._sweep_jobs(
+            _vol_families(), batch=True)
+        assert [type(job.problem) for job in jobs] == [ProblemBatch] * 4
+        for job in jobs:
+            assert len(job.problem) == 3
+            assert len({simulation_signature(p) for p in job.problem.problems}) == 1
+
+    def test_batched_sweep_and_compare_tables_are_pinned(self):
+        session = ValuationSession(backend="simulated")
+        sweep = session.sweep(_vol_families(), [2, 4], batch=True)
+        assert sweep.times() == {2: 0.00237906064957265, 4: 0.0013152140854700855}
+        tables = session.compare(_vol_families(), [2, 4], batch=True).tables
+        assert {name: table.times() for name, table in tables.items()} == {
+            "full_load": {2: 0.0031588846495726503, 4: 0.002061119555555556},
+            "nfs": {2: 0.005599921692307693, 4: 0.001565644606837607},
+            "serialized_load": {2: 0.00237906064957265, 4: 0.0013152140854700855},
+        }

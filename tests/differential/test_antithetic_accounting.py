@@ -20,6 +20,8 @@ from repro.pricing.methods.montecarlo import MonteCarloEuropean
 from repro.pricing.models import BlackScholesModel
 from repro.pricing.products import EuropeanCall
 
+from .loop_reference import price_many_loop
+
 _MODEL = BlackScholesModel(spot=100.0, rate=0.03, volatility=0.2)
 _PRODUCT = EuropeanCall(strike=100.0, maturity=1.0)
 _FLOAT_BYTES = np.dtype(float).itemsize
@@ -69,9 +71,9 @@ class TestAntitheticDrawCounts:
         drawn, n_samples, _ = _stacked_run(999, antithetic=True, batch_size=batch_size)
         assert (drawn, n_samples) == (500, 500)
 
-    def test_loop_kernel_agrees_on_accounting(self):
+    def test_loop_reference_agrees_on_accounting(self):
         method = MonteCarloEuropean(n_paths=999, seed=11, antithetic=True, batch_size=256)
-        [loop_result] = method.price_many(_MODEL, [_PRODUCT], kernel="loop")
+        [loop_result] = price_many_loop(method, _MODEL, [_PRODUCT])
         _, _, stacked_result = _stacked_run(999, antithetic=True)
         assert loop_result.extra["n_paths"] == stacked_result.extra["n_paths"] == 1000
         assert loop_result.n_evaluations == stacked_result.n_evaluations

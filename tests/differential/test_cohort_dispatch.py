@@ -5,7 +5,7 @@ at most ``n_workers`` :class:`~repro.pricing.batch.ProblemBatch` jobs, each
 priced with one stacked-kernel call.  These tests pin that shape (kernel
 call counts, job counts) and check that the coalesced runs stay ``==`` to
 the in-process references -- ``price_problems``, ``portfolio_greeks`` and
-``historical_var`` on the same inputs.
+``historical_var`` on the same inputs -- and to the loop reference.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import repro.pricing.kernel as kernel_module
 from repro.api import ValuationSession
 from repro.core.portfolio import Portfolio, Position
 from repro.core.risk import historical_var, portfolio_greeks
-from repro.errors import PricingError
+from repro.errors import PricingError, ValuationError
 from repro.pricing import (
     PricingProblem,
     ProblemBatch,
@@ -25,6 +25,8 @@ from repro.pricing import (
     price_problems,
     simulation_signature,
 )
+
+from .loop_reference import price_many_loop
 
 N_FAMILIES, N_STRIKES = 6, 3
 
@@ -82,29 +84,30 @@ def _counting_run_groups(monkeypatch) -> list[int]:
 class TestLocalCohortDispatch:
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_one_kernel_call_per_worker_share(self, monkeypatch, n_workers):
-        expected = [r.price for r in price_problems(
-            [p.problem for p in _grid()], kernel="stacked")]
+        expected = [r.price for r in price_problems([p.problem for p in _grid()])]
         calls = _counting_run_groups(monkeypatch)
-        result = ValuationSession("local", n_workers=n_workers).run(
-            _grid(), batch=True, kernel="stacked")
+        result = ValuationSession("local", n_workers=n_workers).run(_grid(), batch=True)
         assert result.ok
         assert 1 <= len(calls) <= n_workers
         assert sum(calls) == N_FAMILIES
         prices = result.prices()
         assert [prices[i] for i in range(len(expected))] == expected
 
-    def test_loop_kernel_keeps_one_job_per_group(self, monkeypatch):
-        calls = _counting_run_groups(monkeypatch)
-        result = ValuationSession("local", n_workers=2).run(
-            _grid(), batch=True, kernel="loop")
-        assert result.ok
-        assert calls == []  # the loop kernel never enters the stacked engine
-        assert result.report.n_jobs == N_FAMILIES * N_STRIKES
+    def test_batched_session_equals_loop_reference(self):
+        problems = [p.problem for p in _grid()]
+        expected = []
+        for family in range(N_FAMILIES):
+            members = problems[family * N_STRIKES:(family + 1) * N_STRIKES]
+            expected += [r.price for r in price_many_loop(
+                members[0].method, members[0].model, [p.product for p in members])]
+        result = ValuationSession("local", n_workers=2).run(_grid(), batch=True)
+        prices = result.prices()
+        assert [prices[i] for i in range(len(expected))] == expected
 
     def test_batch_group_size_caps_the_job(self, monkeypatch):
         calls = _counting_run_groups(monkeypatch)
         result = ValuationSession("local", n_workers=2).run(
-            _grid(), batch=True, kernel="stacked", batch_group_size=6)
+            _grid(), batch=True, batch_group_size=6)
         assert result.ok
         # 18 members, at most 6 a job: three jobs even though n_workers is 2
         assert len(calls) == 3 and sum(calls) == N_FAMILIES
@@ -142,27 +145,39 @@ class TestCohortBatchIsolation:
     def test_poison_member_fails_alone(self):
         problems = [position.problem for position in _grid()]
         problems[4] = self._poison()
-        batch = ProblemBatch(problems, kernel="stacked")
+        batch = ProblemBatch(problems)
         assert len({simulation_signature(p) for p in problems}) == N_FAMILIES
         out = batch.compute()
         assert set(out) == set(range(len(problems)))
         assert "error" in out[4] and "price" not in out[4]
         healthy = [i for i in range(len(problems)) if i != 4]
-        expected = price_problems([_grid().positions[i].problem for i in healthy],
-                                  kernel="stacked")
+        expected = price_problems([_grid().positions[i].problem for i in healthy])
         assert [out[i]["price"] for i in healthy] == [r.price for r in expected]
 
-    @pytest.mark.parametrize("kernel", ["loop", "stacked"])
-    def test_mixed_seeds_cannot_share_a_batch(self, kernel):
+    def test_mixed_seeds_cannot_share_a_batch(self):
         a = _grid(seed=11).positions[0].problem
         b = _grid(seed=12).positions[1].problem
         with pytest.raises(PricingError, match="draw cohort"):
-            ProblemBatch([a, b], kernel=kernel)
+            ProblemBatch([a, b])
 
-    def test_loop_batches_stay_single_signature(self):
-        grid = _grid()
-        one_family = [grid.positions[i].problem for i in range(N_STRIKES)]
-        ProblemBatch(one_family, kernel="loop")
-        with pytest.raises(PricingError, match="draw cohort"):
-            ProblemBatch([grid.positions[0].problem,
-                          grid.positions[N_STRIKES].problem], kernel="loop")
+
+class TestKernelKeyword:
+    """``kernel`` survives on two entry points and only names the stacked engine."""
+
+    def test_stacked_is_accepted(self):
+        expected = [r.price for r in price_problems([p.problem for p in _call_book()])]
+        assert [r.price for r in price_problems(
+            [p.problem for p in _call_book()], kernel="stacked")] == expected
+        result = ValuationSession("local").run(_call_book(), kernel="stacked")
+        prices = result.prices()
+        assert [prices[i] for i in range(len(expected))] == expected
+
+    @pytest.mark.parametrize("kernel", ["loop", "warp"])
+    def test_price_problems_rejects_other_kernels(self, kernel):
+        with pytest.raises(PricingError, match="unknown kernel"):
+            price_problems([p.problem for p in _call_book()], kernel=kernel)
+
+    @pytest.mark.parametrize("kernel", ["loop", "warp"])
+    def test_session_run_rejects_other_kernels(self, kernel):
+        with pytest.raises(ValuationError, match="unknown kernel"):
+            ValuationSession("local").run(_call_book(), kernel=kernel)

@@ -1,15 +1,17 @@
-"""Differential harness: the stacked kernel is bit-exact against the loop.
+"""Differential harness: the stacked engine is bit-exact against the loop reference.
 
-Every test drives **both** kernels over the same inputs and asserts
-``np.array_equal`` (exact IEEE-754 equality, zero ULP of slack) on prices,
-standard errors, confidence intervals and -- through ``sample_sink`` -- on
-the per-path payoff samples themselves.  ``pytest.approx`` is deliberately
-absent from this file: the stacked kernel's contract is bit-exactness by
+Every test prices the same inputs through the per-member loop of
+:mod:`.loop_reference` and through every production entry of the stacked
+engine -- ``price_many``, ``run_groups`` and solo ``price`` -- and asserts
+``==`` (exact IEEE-754 equality, zero ULP of slack) on prices, standard
+errors, confidence intervals and -- through ``sample_sink`` -- on the
+per-path payoff samples themselves.  ``pytest.approx`` is deliberately
+absent from this file: the stacked engine's contract is bit-exactness by
 construction, and any drift, however small, is a bug.
 
 The matrix crosses model x product-family x antithetic x odd/even path
 counts x batch sizes x group shapes, so every family branch and every batch
-accounting edge in the stacked engine is exercised against its loop twin.
+accounting edge in the stacked engine is exercised against the reference.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.pricing.kernel import price_many_stacked, resolve_kernel, run_groups
+from repro.pricing.kernel import run_groups
 from repro.pricing.methods.montecarlo import MonteCarloEuropean
 from repro.pricing.models import (
     BlackScholesModel,
@@ -41,6 +43,8 @@ from repro.pricing.products import (
     UpOutPut,
 )
 
+from .loop_reference import price_many_loop
+
 
 def _collecting_sink():
     """A sample_sink capturing ``member -> [payoff batches]``."""
@@ -57,6 +61,7 @@ def _samples(store: dict[int, list[np.ndarray]]) -> dict[int, np.ndarray]:
 
 
 def assert_results_bit_equal(loop_results, stacked_results):
+    """Price, standard error, CI and evaluation count agree with ``==``."""
     assert len(loop_results) == len(stacked_results)
     for loop_result, stacked_result in zip(loop_results, stacked_results):
         assert loop_result.price == stacked_result.price
@@ -66,22 +71,32 @@ def assert_results_bit_equal(loop_results, stacked_results):
 
 
 def run_both(method, model, products):
-    """Price through both kernels, asserting results AND samples bit-equal."""
+    """Price through the reference and the engine; results AND samples bit-equal.
+
+    Three engine columns meet the loop reference: ``price_many`` (one
+    group), ``run_groups`` (the plan-level entry) and solo ``price`` per
+    member (the path single-position valuations take).
+    """
     loop_store, loop_sink = _collecting_sink()
-    stacked_store, stacked_sink = _collecting_sink()
-    loop_results = method.price_many(
-        model, products, kernel="loop", sample_sink=loop_sink
-    )
-    stacked_results = method.price_many(
-        model, products, kernel="stacked", sample_sink=stacked_sink
-    )
-    assert_results_bit_equal(loop_results, stacked_results)
-    loop_samples, stacked_samples = _samples(loop_store), _samples(stacked_store)
-    assert loop_samples.keys() == stacked_samples.keys()
-    for index in loop_samples:
-        assert np.array_equal(loop_samples[index], stacked_samples[index]), (
-            f"per-path samples diverge for member {index}"
-        )
+    loop_results = price_many_loop(method, model, products, sample_sink=loop_sink)
+    loop_samples = _samples(loop_store)
+
+    many_store, many_sink = _collecting_sink()
+    many_results = method.price_many(model, products, sample_sink=many_sink)
+    groups_store, groups_sink = _collecting_sink()
+    [groups_results] = run_groups([(method, model, products)],
+                                  sample_sinks={0: groups_sink})
+    for results, store in ((many_results, many_store), (groups_results, groups_store)):
+        assert_results_bit_equal(loop_results, results)
+        samples = _samples(store)
+        assert loop_samples.keys() == samples.keys()
+        for index in loop_samples:
+            assert np.array_equal(loop_samples[index], samples[index]), (
+                f"per-path samples diverge for member {index}"
+            )
+
+    solo_results = [method.price(model, product) for product in products]
+    assert_results_bit_equal(loop_results, solo_results)
     return loop_results
 
 
@@ -237,7 +252,7 @@ class TestGroupShapes:
         ]
         stacked = run_groups(groups)
         for (m, model, products), group_results in zip(groups, stacked):
-            solo = m.price_many(model, products, kernel="loop")
+            solo = price_many_loop(m, model, products)
             assert_results_bit_equal(solo, group_results)
 
     def test_mixed_cohorts_one_plan(self):
@@ -255,7 +270,7 @@ class TestGroupShapes:
         ]
         stacked = run_groups(groups)
         for (m, model, products), group_results in zip(groups, stacked):
-            solo = m.price_many(model, products, kernel="loop")
+            solo = price_many_loop(m, model, products)
             assert_results_bit_equal(solo, group_results)
 
     def test_singleton_group(self):
@@ -276,39 +291,12 @@ class TestGroupShapes:
         )
 
 
-class TestKernelSelection:
-    def test_resolve_kernel(self):
-        from repro.errors import PricingError
-
-        assert resolve_kernel(None) == "loop"
-        assert resolve_kernel("loop") == "loop"
-        assert resolve_kernel("stacked") == "stacked"
-        with pytest.raises(PricingError):
-            resolve_kernel("warp")
-
-    def test_price_many_rejects_unknown_kernel(self):
-        from repro.errors import PricingError
-
-        method = MonteCarloEuropean(n_paths=100, seed=0)
-        model = BlackScholesModel(spot=100.0, rate=0.03, volatility=0.2)
-        with pytest.raises(PricingError, match="unknown kernel"):
-            method.price_many(model, [EuropeanCall(strike=100.0, maturity=1.0)],
-                              kernel="warp")
-
-    def test_price_many_stacked_entrypoint(self):
-        method = MonteCarloEuropean(n_paths=1001, seed=4)
-        model = BlackScholesModel(spot=100.0, rate=0.03, volatility=0.2)
-        products = [EuropeanCall(strike=100.0, maturity=1.0)]
-        direct = price_many_stacked(method, model, products)
-        via_price_many = method.price_many(model, products, kernel="stacked")
-        assert_results_bit_equal(direct, via_price_many)
-
-    def test_kernel_never_changes_method_params(self):
-        """The kernel is an evaluation strategy, not a method parameter."""
+class TestMethodParams:
+    def test_engine_never_changes_method_params(self):
+        """Evaluation leaves the method's parameters (and digests) untouched."""
         method = MonteCarloEuropean(n_paths=1001, seed=4)
         params_before = dict(method.to_params())
         model = BlackScholesModel(spot=100.0, rate=0.03, volatility=0.2)
-        method.price_many(model, [EuropeanCall(strike=100.0, maturity=1.0)],
-                          kernel="stacked")
+        method.price_many(model, [EuropeanCall(strike=100.0, maturity=1.0)])
         assert method.to_params() == params_before
         assert "kernel" not in params_before

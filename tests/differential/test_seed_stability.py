@@ -1,7 +1,7 @@
 """Seed stability: the stacked kernel's random stream is pinned by digest.
 
-The differential suite proves the stacked kernel agrees with the loop
-kernel -- but both could drift *together* (a numpy upgrade changing the
+The differential suite proves the stacked kernel agrees with its loop
+reference -- but both could drift *together* (a numpy upgrade changing the
 bit-stream, an accidental extra draw) and still agree.  These tests pin the
 SHA-256 digest of the raw base-generator draws for three fixed seeds, so
 any change to what is drawn -- order, shape, count or content -- fails

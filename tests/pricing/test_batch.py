@@ -277,21 +277,21 @@ class TestAntitheticSampleAccounting:
         assert result.extra["n_paths"] == 1_000
         assert result.n_evaluations == 1_000
 
-    def test_odd_batch_size_never_exceeds_the_memory_bound(self, bs_model, atm_call):
+    def test_odd_batch_size_never_exceeds_the_memory_bound(
+        self, bs_model, atm_call, monkeypatch
+    ):
+        import repro.pricing.kernel as kernel_module
+
         captured: list[int] = []
-        original = type(bs_model).sample_terminal
+        original = kernel_module._simulate
 
-        def spy(model, rng, n_paths, maturity):
-            captured.append(n_paths)
-            return original(model, rng, n_paths, maturity)
+        def spy(scheme, models, rng, batch, *args):
+            captured.append(batch)
+            return original(scheme, models, rng, batch, *args)
 
+        monkeypatch.setattr(kernel_module, "_simulate", spy)
         method = MonteCarloEuropean(n_paths=1_000, batch_size=333, seed=1)
-        model = bs_model
-        type(model).sample_terminal = spy
-        try:
-            result = method.price(model, atm_call)
-        finally:
-            type(model).sample_terminal = original
+        result = method.price(bs_model, atm_call)
         assert all(batch <= 333 for batch in captured)
         assert all(batch % 2 == 0 for batch in captured)
         assert sum(captured) == 1_000
@@ -397,7 +397,7 @@ class TestCachedStackedPricing:
         def book() -> list[PricingProblem]:
             return family(0.2) + family(0.25) + family(0.3)
 
-        uncached = [r.price for r in price_problems(book(), kernel="stacked")]
+        uncached = [r.price for r in price_problems(book())]
         cache = ResultCache()
         warm = book()
         for index in (0, 4, 8):
@@ -411,7 +411,7 @@ class TestCachedStackedPricing:
 
         monkeypatch.setattr(kernel_module, "run_groups", counting)
         problems = book()
-        results = price_problems(problems, cache=cache, kernel="stacked")
+        results = price_problems(problems, cache=cache)
         assert [r.price for r in results] == uncached
         assert cache.stats.hits == 3
         assert calls == [3]  # the six misses, three groups, one kernel call
@@ -435,7 +435,7 @@ def _grid_batch(n_families: int = 30, n_strikes: int = 7) -> ProblemBatch:
                                antithetic=False, control_variate=False, seed=5,
                                rng_kind="sobol")
             problems.append(problem)
-    return ProblemBatch(problems, keys=range(100, 100 + len(problems)), kernel="stacked")
+    return ProblemBatch(problems, keys=range(100, 100 + len(problems)))
 
 
 class TestProblemBatchWire:
@@ -444,7 +444,7 @@ class TestProblemBatchWire:
         batch.problems[1].set_asset("commodity")
         rebuilt = serialize(batch).unserialize()
         assert rebuilt.keys == batch.keys
-        assert rebuilt.kernel == "stacked"
+        assert "kernel" not in batch.to_dict()
         assert [p.label for p in rebuilt.problems] == [p.label for p in batch.problems]
         assert [p.asset for p in rebuilt.problems] == [p.asset for p in batch.problems]
         assert [problem_digest(p) for p in rebuilt.problems] == [
